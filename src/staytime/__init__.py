@@ -18,9 +18,6 @@ from .states import (
     SegmentGrid,
     StateFunction,
     build_grid,
-    discrete_state,
-    kernel_state,
-    neural_state,
     sample_bases,
 )
 from .representation import (
@@ -95,15 +92,12 @@ __all__ = [
     "compute_ctr",
     "compute_ctr_batch",
     "decay_exponents",
-    "discrete_state",
     "generate",
     "grad_check",
     "gradient_check_model",
     "hyper_search",
-    "kernel_state",
     "kfold_cv",
     "load_checkpoint",
-    "neural_state",
     "period_stratified_improvement",
     "read_dataset",
     "read_history",

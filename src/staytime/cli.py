@@ -28,19 +28,12 @@ from .data_io import (
     write_history,
     write_truth,
 )
-from .errors import ConfigurationError, StayTimeError
+from .errors import ConfigurationError, StayTimeError, ValidationError
 from .evaluation import kfold_cv, period_stratified_improvement
 from .reports import comparison_csv, period_csv, render_bar_chart, render_period_chart
-from .representation import compute_ctr
-from .states import (
-    DiscreteStateFunction,
-    KernelBasisSet,
-    KernelStateFunction,
-    build_grid,
-    sample_bases,
-)
+from .estimators import CtrFeaturizer
 from .synthgen import SynthConfig, generate
-from .training import TrainConfig, gradient_check_model, static_features, train_model
+from .training import TrainConfig, gradient_check_model, static_features_batch, train_model
 
 OUT_DIR_ENV = "STAYTIME_OUT_DIR"
 BENCH_REPORT_FILE = "bench_report.json"
@@ -150,7 +143,6 @@ def _train_config(args) -> TrainConfig:
         raise ConfigurationError("a seed is required (--seed or config file)")
     if getattr(args, "auto_range", None):
         merged["value_range"] = None
-        return TrainConfig(**merged)
     return TrainConfig(**merged)
 
 
@@ -177,47 +169,35 @@ def cmd_generate(args) -> int:
     return 0
 
 
-def _featurize_rows(dataset, state, decay, normalize):
-    rows = []
-    for seq in dataset.sequences:
-        z = compute_ctr(seq, state, decay=decay, normalize=normalize)
-        rows.append([seq.record_id] + [repr(float(v)) for v in z])
-    return rows
+def _table(prefix: str, ids: list, values: np.ndarray) -> str:
+    """CSV with a record_id column and one repr-formatted column per feature."""
+    lines = [",".join(["record_id", *(f"{prefix}{j}" for j in range(values.shape[1]))])]
+    lines += [",".join([rid, *map(repr, row)]) for rid, row in zip(ids, values.tolist())]
+    return "\n".join(lines) + "\n"
 
 
 def cmd_featurize(args) -> int:
     data = read_dataset(args.data, forward_fill=args.forward_fill)
     out = _out_dir(args)
     out.mkdir(parents=True, exist_ok=True)
-    if args.kind == "grid":
-        per_dim = args.segments or 5
-        lo, hi = args.value_range or (-1.0, 1.0)
-        grid = build_grid((lo, hi), per_dim, n_dims=data.n_features)
-        state = DiscreteStateFunction(grid, clamp=args.clamp)
-    else:
-        rng = np.random.default_rng(args.seed or 0)
-        pooled = data.pooled_observations()
-        bases = sample_bases(pooled, args.n_bases or 100, rng)
-        state = KernelStateFunction(KernelBasisSet(bases, gamma=args.gamma or 1.0))
-    rows = _featurize_rows(data, state, args.decay, args.normalize)
-    header = ["record_id"] + [f"z{j}" for j in range(state.n_states)]
-    lines = [",".join(header)] + [",".join(r) for r in rows]
-    atomic_write_text(out / "features.csv", "\n".join(lines) + "\n")
+    featurizer = CtrFeaturizer(
+        kind=args.kind, segments=args.segments or 5,
+        value_range=tuple(args.value_range or (-1.0, 1.0)), clamp=args.clamp,
+        n_bases=args.n_bases or 100, gamma=args.gamma or 1.0, decay=args.decay,
+        normalize=args.normalize, random_state=args.seed or 0,
+    )
+    ids = [seq.record_id for seq in data.sequences]
+    atomic_write_text(out / "features.csv", _table("z", ids, featurizer.fit_transform(data)))
     written = ["features.csv"]
     if args.static:
-        s_rows, width = [], 0
-        for seq in data.sequences:
-            feats = static_features(seq)
-            width = len(feats)
-            s_rows.append(",".join([seq.record_id] + [repr(float(v)) for v in feats]))
-        s_header = ",".join(["record_id"] + [f"s{j}" for j in range(width)])
-        atomic_write_text(out / "static.csv", "\n".join([s_header] + s_rows) + "\n")
+        atomic_write_text(out / "static.csv",
+                          _table("s", ids, static_features_batch(data.sequences)))
         written.append("static.csv")
     _emit({
         "command": "featurize",
         "out": str(out),
         "files": written,
-        "n_states": state.n_states,
+        "n_states": featurizer.n_states_,
         "n_records": len(data),
     })
     return 0
@@ -398,7 +378,13 @@ def cmd_gradcheck(args) -> int:
 
 
 def cmd_report(args) -> int:
-    bench = json.loads(Path(args.bench).read_text())
+    try:
+        bench = json.loads(Path(args.bench).read_text())  # ValueError if not JSON
+        if not isinstance(bench["rows"], list):
+            raise TypeError("rows is not a list")
+    except (ValueError, KeyError, TypeError) as exc:
+        raise ValidationError(
+            f"{args.bench}: not a bench report ({type(exc).__name__}: {exc})") from None
     out = _out_dir(args)
     out.mkdir(parents=True, exist_ok=True)
     written = []

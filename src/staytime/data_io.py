@@ -122,9 +122,11 @@ def _parse_float(value, file, row, column):
 
 
 def _read_rows(path):
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        rows = list(reader)
+    try:
+        with open(path, newline="", encoding="utf-8") as fh:
+            rows = list(csv.reader(fh))
+    except (UnicodeDecodeError, csv.Error) as exc:
+        raise ValidationError(f"{path.name}: not a readable CSV file: {exc}") from None
     if not rows:
         raise ValidationError(f"{path.name}, row 1: file is empty")
     return rows[0], rows[1:]
@@ -142,15 +144,20 @@ def read_dataset(directory, forward_fill: bool = False) -> SurvivalDataset:
     manifest_path = directory / MANIFEST_FILE
     if not manifest_path.exists():
         raise ValidationError(f"{MANIFEST_FILE}, row 1: manifest not found in {directory}")
-    manifest = json.loads(manifest_path.read_text())
-    if manifest.get("schema_version") != SCHEMA_VERSION:
+    try:
+        manifest = json.loads(manifest_path.read_text())  # ValueError if not JSON
+        if manifest.get("schema_version") != SCHEMA_VERSION:
+            raise ValidationError(
+                f"{MANIFEST_FILE}, row 1: unsupported schema_version "
+                f"{manifest.get('schema_version')!r} (this reader handles {SCHEMA_VERSION})"
+            )
+        feature_cols = list(manifest["feature_columns"])
+        has_durations = bool(manifest["has_durations"])
+        dem_cols = list(manifest.get("demographic_columns", []))
+    except (ValueError, KeyError, TypeError, AttributeError) as exc:
         raise ValidationError(
-            f"{MANIFEST_FILE}, row 1: unsupported schema_version "
-            f"{manifest.get('schema_version')!r} (this reader handles {SCHEMA_VERSION})"
-        )
-    feature_cols = list(manifest["feature_columns"])
-    has_durations = bool(manifest["has_durations"])
-    dem_cols = list(manifest.get("demographic_columns", []))
+            f"{MANIFEST_FILE}, row 1: unreadable manifest ({type(exc).__name__}: {exc})"
+        ) from None
 
     # labels first: they define which record ids exist
     lab_header, lab_rows = _read_rows(directory / LABELS_FILE)

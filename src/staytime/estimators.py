@@ -9,6 +9,7 @@ a labeled SurvivalDataset, or a list of ObservationSequence plus label arrays.
 
 from __future__ import annotations
 
+import dataclasses
 import inspect
 
 import numpy as np
@@ -16,7 +17,7 @@ import numpy as np
 from .errors import ConfigurationError, ValidationError
 from .evaluation import c_index
 from .representation import compute_ctr_batch
-from .sequences import ObservationSequence, SurvivalDataset, SurvivalLabel
+from .sequences import SurvivalDataset, as_dataset
 from .states import (
     DiscreteStateFunction,
     KernelBasisSet,
@@ -56,32 +57,15 @@ class ParamsMixin:
         return f"{type(self).__name__}({args})"
 
 
-def _sequences_of(X) -> list:
-    if isinstance(X, SurvivalDataset):
-        return X.sequences
-    seqs = list(X)
-    if not seqs or not isinstance(seqs[0], ObservationSequence):
-        raise ValidationError(
-            "X must be a SurvivalDataset or a list of ObservationSequence"
-        )
-    return seqs
-
-
 def _as_labeled_dataset(X, y=None, censored=None) -> SurvivalDataset:
     if isinstance(X, SurvivalDataset) and y is None:
         X.require_labels()
         return X
-    seqs = _sequences_of(X)
     if y is None:
         raise ValidationError("y (event times) is required when X carries no labels")
-    y = np.asarray(y, dtype=float)
-    if len(y) != len(seqs):
-        raise ValidationError(f"{len(seqs)} records but {len(y)} labels")
     if censored is None:
-        censored = np.zeros(len(seqs), dtype=bool)
-    censored = np.asarray(censored, dtype=bool)
-    labels = [SurvivalLabel(float(t), bool(c)) for t, c in zip(y, censored)]
-    return SurvivalDataset(seqs, labels)
+        censored = np.zeros(len(y), dtype=bool)
+    return as_dataset(as_dataset(X).sequences, (y, censored))
 
 
 class CtrFeaturizer(ParamsMixin):
@@ -107,8 +91,7 @@ class CtrFeaturizer(ParamsMixin):
         self.random_state = random_state
 
     def fit(self, X, y=None):
-        seqs = _sequences_of(X)
-        pooled = np.concatenate([s.observations for s in seqs], axis=0)
+        pooled = np.concatenate([s.observations for s in as_dataset(X).sequences])
         n_dims = pooled.shape[1]
         if self.kind == "grid":
             if self.value_range is None:
@@ -133,59 +116,35 @@ class CtrFeaturizer(ParamsMixin):
     def transform(self, X) -> np.ndarray:
         if not hasattr(self, "state_"):
             raise ValidationError("this featurizer is not fitted; call fit first")
-        seqs = _sequences_of(X)
-        return compute_ctr_batch(seqs, self.state_, decay=self.decay,
+        return compute_ctr_batch(as_dataset(X).sequences, self.state_, decay=self.decay,
                                  normalize=self.normalize)
 
     def fit_transform(self, X, y=None) -> np.ndarray:
         return self.fit(X, y).transform(X)
 
 
+_REGRESSOR_DEFAULTS = {f.name: f.default for f in dataclasses.fields(TrainConfig)} | {"model": "ctr-d"}
+
+
 class StayTimeRegressor(ParamsMixin):
     """Survival-time regressor over stay-time features, estimator-style.
 
-    Constructor parameters mirror TrainConfig one for one; fit accepts a
-    labeled SurvivalDataset, or sequences plus event times (and an optional
-    censoring mask).  score returns the concordance index, so higher is
-    better and 0.5 is chance.
+    Constructor parameters are TrainConfig's fields, one for one, with the
+    same defaults; fit accepts a labeled SurvivalDataset, or sequences plus
+    event times (and an optional censoring mask).  score returns the
+    concordance index, so higher is better and 0.5 is chance.
     """
 
-    def __init__(self, model: str = "ctr-d", loss: str = "squared",
-                 seed: int = 0, epochs: int = 200, batch_size: int = 64,
-                 learning_rate: float = 1e-3, beta1: float = 0.9,
-                 beta2: float = 0.999, adam_eps: float = 1e-8,
-                 decay_init: float = 0.999, decay_trainable: bool = True,
-                 segments=5, value_range=(-1.0, 1.0), n_bases: int = 100,
-                 gamma: float = 1.0, gamma_grid=(0.01, 0.1, 1.0, 10.0, 100.0),
-                 n_states: int = 100, f_hidden=(100,), g_hidden=(100, 100),
-                 dropout: float = 0.5, batchnorm: bool = True,
-                 patience: int = 20, val_fraction: float = 0.2,
-                 standardize=None, normalize_ctr: bool = False):
-        self.model = model
-        self.loss = loss
-        self.seed = seed
-        self.epochs = epochs
-        self.batch_size = batch_size
-        self.learning_rate = learning_rate
-        self.beta1 = beta1
-        self.beta2 = beta2
-        self.adam_eps = adam_eps
-        self.decay_init = decay_init
-        self.decay_trainable = decay_trainable
-        self.segments = segments
-        self.value_range = value_range
-        self.n_bases = n_bases
-        self.gamma = gamma
-        self.gamma_grid = gamma_grid
-        self.n_states = n_states
-        self.f_hidden = f_hidden
-        self.g_hidden = g_hidden
-        self.dropout = dropout
-        self.batchnorm = batchnorm
-        self.patience = patience
-        self.val_fraction = val_fraction
-        self.standardize = standardize
-        self.normalize_ctr = normalize_ctr
+    def __init__(self, **params):
+        unknown = set(params) - set(_REGRESSOR_DEFAULTS)
+        if unknown:
+            raise ConfigurationError(f"invalid parameters {sorted(unknown)} for StayTimeRegressor")
+        for name, default in _REGRESSOR_DEFAULTS.items():
+            setattr(self, name, params.get(name, default))
+
+    @classmethod
+    def _param_names(cls) -> list:
+        return list(_REGRESSOR_DEFAULTS)
 
     def _config(self) -> TrainConfig:
         return TrainConfig(**self.get_params())
@@ -203,7 +162,7 @@ class StayTimeRegressor(ParamsMixin):
 
     def predict(self, X) -> np.ndarray:
         self._require_fitted()
-        return self.model_.predict(_sequences_of(X))
+        return self.model_.predict(as_dataset(X).sequences)
 
     def score(self, X, y=None, censored=None) -> float:
         self._require_fitted()

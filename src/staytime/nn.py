@@ -109,13 +109,14 @@ class Mlp:
         for k, v in self.state_arrays().items():
             v[...] = snap[k]
 
-    def _bn_forward(self, i, a, mode, update_stats):
+    def _bn_forward(self, i, a, mode, update_stats, in_place=False):
+        """Batch norm of a; in_place overwrites a, for callers keeping no cache."""
         eps = self.bn_eps
         if mode == "train":
             mu = a.mean(axis=0)
             var = a.var(axis=0)
             inv_std = 1.0 / np.sqrt(var + eps)
-            xhat = (a - mu) * inv_std
+            xhat = np.subtract(a, mu, out=a if in_place else None)
             if update_stats:
                 mom = self.bn_momentum
                 b = a.shape[0]
@@ -124,8 +125,10 @@ class Mlp:
                 self.bn_run_var[i] = (1 - mom) * self.bn_run_var[i] + mom * unbiased
         else:
             inv_std = 1.0 / np.sqrt(self.bn_run_var[i] + eps)
-            xhat = (a - self.bn_run_mean[i]) * inv_std
-        out = self.bn_scale[i] * xhat + self.bn_shift[i]
+            xhat = np.subtract(a, self.bn_run_mean[i], out=a if in_place else None)
+        xhat *= inv_std
+        out = np.multiply(xhat, self.bn_scale[i], out=xhat if in_place else None)
+        out += self.bn_shift[i]
         cache = {"xhat": xhat, "inv_std": inv_std, "train": mode == "train"}
         return out, cache
 
@@ -162,21 +165,25 @@ class Mlp:
         if mode == "train" and self.dropout > 0.0 and rng is None:
             raise ConfigurationError("train-mode forward with dropout needs an rng")
 
+        # without a cache nothing needs the intermediates, so layers work in place
         layers = []
         h = X
         for i in range(self.n_hidden):
-            a = h @ self.weights[i] + self.biases[i]
+            a = h @ self.weights[i]
+            a += self.biases[i]
             if self.batchnorm:
-                bn_out, bn_cache = self._bn_forward(i, a, mode, update_stats)
+                bn_out, bn_cache = self._bn_forward(i, a, mode, update_stats,
+                                                    in_place=not want_cache)
             else:
                 bn_out, bn_cache = a, None
-            r = relu(bn_out)
+            r = relu(bn_out) if want_cache else np.maximum(bn_out, 0.0, out=bn_out)
             mask = None
             if self.dropout > 0.0 and mode == "train":
                 keep = 1.0 - self.dropout
                 mask = (rng.random(r.shape) < keep) / keep
                 r = r * mask
-            layers.append({"inp": h, "bn": bn_cache, "relu_in": bn_out, "mask": mask})
+            if want_cache:
+                layers.append({"inp": h, "bn": bn_cache, "relu_in": bn_out, "mask": mask})
             h = r
         if self.n_layers:
             out = h @ self.weights[-1] + self.biases[-1]

@@ -6,15 +6,22 @@ discounted by how far before the window end it happened.  Summing those
 contributions gives a fixed-length vector z whose entries total the decayed
 stay time, regardless of how many observations the record has or how unevenly
 they are spaced.
+
+Every path from records to stay-time vectors runs through PackedRecords: the
+records' rows, stay times and decay exponents pooled into flat arrays once,
+then scored chunk by chunk with one state-function call and one segment sum
+per chunk.
 """
 
 from __future__ import annotations
+
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .errors import ConfigurationError
 from .sequences import ObservationSequence
-from .states import StateFunction
+from .states import CHUNK_ROWS, StateFunction
 
 
 def softplus(x):
@@ -81,34 +88,111 @@ def stay_times(seq: ObservationSequence, decay: float = 1.0) -> np.ndarray:
     stay time is the gap t_m - t_{m-1} with t_0 = 0, or the record's duration
     override when present.  decay = 1 returns the plain stay times.
     """
-    decay = float(decay)
-    if not np.isfinite(decay) or not 0.0 < decay <= 1.0:
-        raise ConfigurationError(f"decay must lie in (0, 1], got {decay}")
+    decay = DecayParameter(decay).value  # rejects values outside (0, 1]
     base = seq.gaps()
     if decay == 1.0:
         return base
     return base * decay ** decay_exponents(seq)
 
 
-def compute_ctr(
-    seq: ObservationSequence,
-    state: StateFunction,
-    decay: float = 1.0,
-    normalize: bool = False,
-) -> np.ndarray:
+@dataclass
+class PackedRecords:
+    """Many records pooled into flat arrays: record i owns rows
+    offsets[i]:offsets[i + 1], each row with its stay time (gaps), decay
+    exponent t_M - t_m and, optionally, precomputed state weights."""
+
+    rows: np.ndarray
+    gaps: np.ndarray
+    exponents: np.ndarray
+    offsets: np.ndarray
+    weights: np.ndarray | None = None
+
+    @classmethod
+    def pack(cls, sequences) -> "PackedRecords":
+        counts = np.array([s.n_observations for s in sequences])
+        offsets = np.concatenate(([0], np.cumsum(counts)))
+        times = np.concatenate([s.timestamps for s in sequences])
+        gaps = np.diff(times, prepend=0.0)
+        gaps[offsets[:-1]] = times[offsets[:-1]]  # the first stay starts at time zero
+        overrides = [s.durations for s in sequences if s.durations is not None]
+        if overrides:
+            overridden = np.repeat([s.durations is not None for s in sequences], counts)
+            gaps[overridden] = np.concatenate(overrides)
+        return cls(np.concatenate([s.observations for s in sequences]), gaps,
+                   np.repeat(times[offsets[1:] - 1], counts) - times, offsets)
+
+    @property
+    def counts(self) -> np.ndarray:
+        return np.diff(self.offsets)
+
+    def take(self, indices) -> "PackedRecords":
+        """The records at indices, in that order, packed afresh."""
+        counts = self.counts[indices]
+        offsets = np.concatenate(([0], np.cumsum(counts)))
+        idx = np.arange(offsets[-1]) + np.repeat(self.offsets[indices] - offsets[:-1], counts)
+        weights = None if self.weights is None else self.weights[idx]
+        return PackedRecords(self.rows[idx], self.gaps[idx], self.exponents[idx],
+                             offsets, weights)
+
+    def stay_times(self, decay: float) -> np.ndarray:
+        """Decayed stay time of every row."""
+        return self.gaps if decay == 1.0 else self.gaps * decay**self.exponents
+
+    def chunks(self):
+        """Record ranges [lo, hi) of about CHUNK_ROWS rows each, cut at record
+        boundaries; a record longer than that is a chunk of its own."""
+        lo, n = 0, len(self.offsets) - 1
+        while lo < n:
+            end = np.searchsorted(self.offsets, self.offsets[lo] + CHUNK_ROWS, "right")
+            hi = max(int(end) - 1, lo + 1)
+            yield lo, hi
+            lo = hi
+
+    def with_weights(self, state: StateFunction) -> "PackedRecords":
+        """A copy carrying every row's state weights, computed chunk by chunk."""
+        W = np.empty((len(self.rows), state.n_states))
+        for lo, hi in self.chunks():
+            rows = slice(self.offsets[lo], self.offsets[hi])
+            W[rows] = state.weights_matrix(self.rows[rows])
+        return replace(self, weights=W)
+
+
+def segment_ctr(u, W, starts, normalize: bool):
+    """Sums of u_m * W_m over the row segments that begin at starts, plus the
+    segment totals of u when normalize divides them out (else None)."""
+    Z = np.add.reduceat(u[:, None] * W, starts, axis=0)
+    if not normalize:
+        return Z, None
+    totals = np.add.reduceat(u, starts)
+    return Z / totals[:, None], totals
+
+
+def stay_time_matrix(packed: PackedRecords, state: StateFunction,
+                     decay: float = 1.0, normalize: bool = False) -> np.ndarray:
+    """(N, K) stay-time vectors of the packed records, one chunk at a time:
+    one state-function call and one segment sum per chunk."""
+    Z = np.empty((len(packed.offsets) - 1, state.n_states))
+    u = packed.stay_times(decay)
+    for lo, hi in packed.chunks():
+        first, last = packed.offsets[lo], packed.offsets[hi]
+        W = state.weights_matrix(packed.rows[first:last])
+        Z[lo:hi], _ = segment_ctr(u[first:last], W, packed.offsets[lo:hi] - first, normalize)
+    return Z
+
+
+def compute_ctr(seq: ObservationSequence, state: StateFunction, decay: float = 1.0,
+                normalize: bool = False) -> np.ndarray:
     """Cumulative stay-time vector z = sum_m d_m * s(x_m), a length-K array.
 
     Because every state vector sums to one, sum(z) equals the total decayed
-    stay time; normalize divides that total out (off by default).
+    stay time; normalize divides that total out (off by default).  This is
+    the one-record case of compute_ctr_batch and equals its rows exactly.
     """
-    d = stay_times(seq, decay)
-    z = d @ state.weights_matrix(seq.observations)
-    if normalize:
-        z = z / d.sum()
-    return z
+    return compute_ctr_batch([seq], state, decay, normalize)[0]
 
 
 def compute_ctr_batch(sequences, state: StateFunction, decay: float = 1.0,
                       normalize: bool = False) -> np.ndarray:
-    """Stack compute_ctr over records into an (N, K) matrix."""
-    return np.stack([compute_ctr(s, state, decay, normalize) for s in sequences])
+    """(N, K) matrix of compute_ctr over records, from one packed pass."""
+    decay = DecayParameter(decay).value  # rejects values outside (0, 1]
+    return stay_time_matrix(PackedRecords.pack(sequences), state, decay, normalize)

@@ -165,10 +165,6 @@ class SurvivalDataset:
     def periods(self) -> np.ndarray:
         return np.array([seq.period() for seq in self.sequences])
 
-    def pooled_observations(self) -> np.ndarray:
-        """All observation rows stacked into one (sum(M_i), D) matrix."""
-        return np.concatenate([seq.observations for seq in self.sequences], axis=0)
-
     def subset(self, indices) -> "SurvivalDataset":
         indices = np.asarray(indices, dtype=int)
         seqs = [self.sequences[i] for i in indices]

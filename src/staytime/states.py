@@ -17,6 +17,8 @@ import numpy as np
 from .errors import ConfigurationError, OutOfRangeError, ValidationError
 from .sequences import as_float_array
 
+CHUNK_ROWS = 1024  # rows per state-function call in the stay-time kernel
+
 
 @dataclass(frozen=True)
 class SegmentGrid:
@@ -149,14 +151,17 @@ class KernelBasisSet:
             raise ValidationError(
                 f"observations have {X.shape[1]} dims, bases have {self.bases.shape[1]}"
             )
-        sq = np.sum((X[:, None, :] - self.bases[None, :, :]) ** 2, axis=-1)
-        logits = -self.gamma * sq
+        # in place where possible: the M x K x D difference is the largest array
+        diff = X[:, None, :] - self.bases[None, :, :]
+        logits = np.square(diff, out=diff).sum(axis=-1)
+        logits *= -self.gamma
         logits -= logits.max(axis=1, keepdims=True)
-        w = np.exp(logits)
-        return w / w.sum(axis=1, keepdims=True)
+        w = np.exp(logits, out=logits)
+        w /= w.sum(axis=1, keepdims=True)
+        return w
 
 
-def sample_bases(rows: np.ndarray, k: int, rng) -> KernelBasisSet | np.ndarray:
+def sample_bases(rows: np.ndarray, k: int, rng) -> np.ndarray:
     """Draw k distinct basis points from pooled observation rows, seeded.
 
     Returns the (k, D) array of points; wrap it in a KernelBasisSet with the
@@ -232,7 +237,14 @@ class NeuralStateFunction(StateFunction):
         return self.net.layer_sizes[-1]
 
     def weights_matrix(self, X: np.ndarray) -> np.ndarray:
-        return self.net.forward(as_float_array(X, "observations", 2))
+        """Network output, evaluated in zero-padded blocks of CHUNK_ROWS rows:
+        BLAS rounding depends on matrix shape, so fixed blocks keep each row's
+        weights independent of how many rows share the call."""
+        X = as_float_array(X, "observations", 2)
+        n = X.shape[0]
+        padded = np.zeros((-(-n // CHUNK_ROWS) * CHUNK_ROWS, X.shape[1]))
+        padded[:n] = X
+        return self.net.forward(padded)[:n]
 
 
 def discrete_state(x, grid: SegmentGrid, clamp: bool = False) -> np.ndarray:

@@ -16,11 +16,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigurationError
-from .representation import compute_ctr
+from .representation import compute_ctr_batch
 from .sequences import ObservationSequence, SurvivalDataset, SurvivalLabel
 from .states import DiscreteStateFunction, SegmentGrid, build_grid
 
 WEIGHT_PROFILES = ("coordinate", "index")
+BLOCK_RECORDS = 256
 
 
 def integer_root(k: int, d: int) -> int:
@@ -114,22 +115,28 @@ def generate(config: SynthConfig) -> SynthDataset:
 
     streams = np.random.SeedSequence(config.seed).spawn(config.n_records)
     sequences, labels, noise_free = [], [], np.empty(config.n_records)
-    for i, stream in enumerate(streams):
-        rng = np.random.default_rng(stream)
-        obs = rng.uniform(-1.0, 1.0, size=(config.n_obs, config.n_dims))
-        dur = rng.uniform(0.0, 1.0, size=config.n_obs)
-        while np.any(dur == 0.0):  # stay times must be strictly positive
-            dur[dur == 0.0] = rng.uniform(0.0, 1.0, size=int((dur == 0.0).sum()))
-        seq = ObservationSequence(obs, durations=dur, record_id=f"r{i:06d}")
-        target = float(w @ compute_ctr(seq, state, 1.0))
-        y = target + noise_scale * rng.standard_normal()
-        # labels are event times and must stay positive; a multi-sigma tail
-        # draw against a small clean target is redrawn from the same stream
-        while y <= 0:
+    # records go in blocks: one packed kernel call per block gives the clean
+    # targets, and only one block's generators are alive at a time
+    for lo in range(0, config.n_records, BLOCK_RECORDS):
+        rngs = [np.random.default_rng(s) for s in streams[lo:lo + BLOCK_RECORDS]]
+        block = []
+        for i, rng in enumerate(rngs, start=lo):
+            obs = rng.uniform(-1.0, 1.0, size=(config.n_obs, config.n_dims))
+            dur = rng.uniform(0.0, 1.0, size=config.n_obs)
+            while np.any(dur == 0.0):  # stay times must be strictly positive
+                dur[dur == 0.0] = rng.uniform(0.0, 1.0, size=int((dur == 0.0).sum()))
+            block.append(ObservationSequence(obs, durations=dur, record_id=f"r{i:06d}"))
+        for i, (rng, z) in enumerate(zip(rngs, compute_ctr_batch(block, state)), start=lo):
+            # each record's stream continues where its observations left off
+            target = float(w @ z)
             y = target + noise_scale * rng.standard_normal()
-        sequences.append(seq)
-        labels.append(SurvivalLabel(y, censored=False))
-        noise_free[i] = target
+            # labels are event times and must stay positive; a multi-sigma tail
+            # draw against a small clean target is redrawn from the same stream
+            while y <= 0:
+                y = target + noise_scale * rng.standard_normal()
+            labels.append(SurvivalLabel(y, censored=False))
+            noise_free[i] = target
+        sequences += block
     return SynthDataset(
         dataset=SurvivalDataset(sequences, labels),
         grid=grid,

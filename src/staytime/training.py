@@ -21,7 +21,8 @@ from .errors import (
     ValidationError,
 )
 from .nn import AdamState, Mlp, adam_step, grad_check, log_sigmoid
-from .representation import DecayParameter, decay_exponents, sigmoid, stay_times
+from .representation import (DecayParameter, PackedRecords, segment_ctr, sigmoid,
+                             stay_time_matrix, stay_times)
 from .sequences import SurvivalDataset
 from .states import (
     DiscreteStateFunction,
@@ -195,14 +196,9 @@ class TrainConfig:
             raise ConfigurationError("gamma must be positive")
         if self.learning_rate <= 0:
             raise ConfigurationError("learning_rate must be positive")
-        for name in ("gamma_grid", "f_hidden", "g_hidden"):
-            v = getattr(self, name)
-            if isinstance(v, list):
-                object.__setattr__(self, name, tuple(v))
-        if isinstance(self.segments, list):
-            object.__setattr__(self, "segments", tuple(self.segments))
-        if isinstance(self.value_range, list):
-            object.__setattr__(self, "value_range", tuple(self.value_range))
+        for name in ("gamma_grid", "f_hidden", "g_hidden", "segments", "value_range"):
+            if isinstance(getattr(self, name), list):
+                object.__setattr__(self, name, tuple(getattr(self, name)))
 
     @property
     def wants_standardize(self) -> bool:
@@ -242,11 +238,6 @@ class TrainedModel:
     best_val_score: float
     pairless_batches: int = 0
 
-    def _prep_obs(self, X: np.ndarray) -> np.ndarray:
-        if self.obs_standardizer is None:
-            return X
-        return self.obs_standardizer.transform(X)
-
     def _demographics(self, sequences) -> np.ndarray | None:
         if sequences[0].demographics is None:
             return None
@@ -263,20 +254,11 @@ class TrainedModel:
             if self.static_standardizer is not None:
                 feats = self.static_standardizer.transform(feats)
             return feats
-        lam = self.decay.value
-        rows = []
-        for seq in sequences:
-            W = self.state.weights_matrix(self._prep_obs(seq.observations))
-            d = stay_times(seq, lam)
-            z = d @ W
-            if self.config.normalize_ctr:
-                z = z / d.sum()
-            rows.append(z)
-        Z = np.stack(rows)
-        dem = self._demographics(sequences)
-        if dem is not None:
-            Z = np.concatenate([Z, dem], axis=1)
-        return Z
+        packed = PackedRecords.pack(sequences)
+        if self.obs_standardizer is not None:
+            packed.rows = self.obs_standardizer.transform(packed.rows)
+        return _ctr_features(packed, self.state, self.decay.value,
+                             self.config.normalize_ctr, self._demographics(sequences))
 
     def predict(self, X) -> np.ndarray:
         """Predicted event time for each record (eval mode, deterministic)."""
@@ -305,36 +287,11 @@ def split_validation(n: int, censored, fraction: float, rng, stratify: bool = Tr
     return np.sort(train_idx), np.sort(val_idx)
 
 
-class _RecordCache:
-    """Per-record quantities that stay fixed across training steps."""
-
-    def __init__(self, sequences, prep, state_kind, grid=None, basis=None,
-                 clamp=False):
-        self.base = [s.gaps() for s in sequences]
-        self.expo = [decay_exponents(s) for s in sequences]
-        self.rows = [prep(s.observations) for s in sequences]
-        self.counts = np.array([s.n_observations for s in sequences])
-        if state_kind == "ctr-d":
-            self.weight_rows = [grid.one_hot(r, clamp=clamp) for r in self.rows]
-        elif state_kind == "ctr-k":
-            self.weight_rows = [basis.weights(r) for r in self.rows]
-        else:
-            self.weight_rows = None  # neural: recomputed every step
-
-    def gather(self, indices):
-        base = np.concatenate([self.base[i] for i in indices])
-        expo = np.concatenate([self.expo[i] for i in indices])
-        rows = np.concatenate([self.rows[i] for i in indices])
-        counts = self.counts[indices]
-        starts = np.concatenate([[0], np.cumsum(counts)[:-1]])
-        W = None
-        if self.weight_rows is not None:
-            W = np.concatenate([self.weight_rows[i] for i in indices])
-        return base, expo, rows, counts, starts, W
-
-
-def _segment_sum(values, starts):
-    return np.add.reduceat(values, starts, axis=0)
+def _ctr_features(packed, state, decay, normalize, dem) -> np.ndarray:
+    """Predictor input in eval mode: stay-time vectors plus demographics.
+    Scoring and per-epoch validation both run through here."""
+    Z = stay_time_matrix(packed, state, decay, normalize)
+    return Z if dem is None else np.concatenate([Z, dem], axis=1)
 
 
 def _require_finite(x, context):
@@ -365,8 +322,8 @@ class _Components:
     obs_std: Standardizer | None
     dem_std: Standardizer | None
     static_std: Standardizer | None
-    train_cache: _RecordCache | None
-    val_cache: _RecordCache | None
+    train_packed: PackedRecords | None
+    val_packed: PackedRecords | None
     rng_shuffle: np.random.Generator
     rng_dropout: np.random.Generator
 
@@ -378,32 +335,25 @@ class _Components:
             p["decay/raw"] = self.decay.raw
         return p
 
-    def assemble(self, cache, local_idx, global_idx, mode, rng,
-                 update_stats=None):
-        """Predictor input for a batch plus what the backward pass needs."""
+    def assemble(self, packed, local_idx, global_idx, rng, update_stats=None):
+        """Train-mode predictor input for a batch plus what the backward
+        pass needs."""
         config = self.config
         if config.model == "static":
             return self.feats_all[global_idx], None
-        base, expo, rows, counts, starts, W = cache.gather(local_idx)
-        lam = self.decay.value
-        u = base * lam**expo
-        gcache = None
+        batch = packed.take(local_idx)
+        u = batch.stay_times(self.decay.value)
+        W, gcache = batch.weights, None
         if config.model == "ctr-n":
-            if mode == "train":
-                W, gcache = self.gnet.forward(
-                    rows, mode="train", rng=rng, want_cache=True,
-                    update_stats=update_stats,
-                )
-            else:
-                W = self.gnet.forward(rows)
-        Z = _segment_sum(u[:, None] * W, starts)
-        totals = None
-        if config.normalize_ctr:
-            totals = _segment_sum(u, starts)
-            Z = Z / totals[:, None]
+            W, gcache = self.gnet.forward(
+                batch.rows, mode="train", rng=rng, want_cache=True,
+                update_stats=update_stats,
+            )
+        starts = batch.offsets[:-1]
+        Z, totals = segment_ctr(u, W, starts, config.normalize_ctr)
         aux = {
-            "u": u, "expo": expo, "W": W, "starts": starts, "counts": counts,
-            "gcache": gcache, "totals": totals, "Z": Z,
+            "u": u, "expo": batch.exponents, "W": W, "starts": starts,
+            "counts": batch.counts, "gcache": gcache, "totals": totals, "Z": Z,
         }
         X = Z
         if self.dem is not None:
@@ -432,18 +382,18 @@ class _Components:
             dldlam = float(np.sum(s_rows * u * expo) / lam)
             if config.normalize_ctr:
                 # the totals also move with the decay value
-                dtot = _segment_sum(u * expo, starts) / lam
+                dtot = np.add.reduceat(u * expo, starts) / lam
                 z_dot = np.sum(gz_eff * aux["Z"], axis=1)
                 dldlam -= float(np.sum(z_dot * dtot))
             out["decay"] = np.array([dldlam * decay.value_grad()])
         return out
 
-    def batch_loss_and_grads(self, cache, local_idx, global_idx, rng,
+    def batch_loss_and_grads(self, packed, local_idx, global_idx, rng,
                              update_stats=None):
         """Train-mode forward and backward over one batch; gradients are
         keyed exactly like params()."""
         config = self.config
-        X, aux = self.assemble(cache, local_idx, global_idx, "train", rng,
+        X, aux = self.assemble(packed, local_idx, global_idx, rng,
                                update_stats=update_stats)
         out, fcache = self.f.forward(X, mode="train", rng=rng,
                                      want_cache=True, update_stats=update_stats)
@@ -464,8 +414,12 @@ class _Components:
         return loss, grads
 
     def predict_validation(self) -> np.ndarray:
-        X, _ = self.assemble(self.val_cache, np.arange(len(self.val_idx)),
-                             self.val_idx, "eval", None)
+        if self.config.model == "static":
+            X = self.feats_all[self.val_idx]
+        else:
+            dem = None if self.dem is None else self.dem[self.val_idx]
+            X = _ctr_features(self.val_packed, self.state, self.decay.value,
+                              self.config.normalize_ctr, dem)
         return self.f.forward(X)[:, 0]
 
 
@@ -486,15 +440,15 @@ def _build_components(dataset: SurvivalDataset, config: TrainConfig) -> _Compone
     train_idx, val_idx = split_validation(
         n, censored, config.val_fraction, rng_split, stratify
     )
-    train_seqs = [dataset.sequences[i] for i in train_idx]
-    val_seqs = [dataset.sequences[i] for i in val_idx]
-
     standardize = config.wants_standardize
     obs_std = dem_std = static_std = None
-    if standardize and config.model != "static":
-        pooled = np.concatenate([s.observations for s in train_seqs])
-        obs_std = Standardizer.fit(pooled)
-    prep = (lambda X: obs_std.transform(X)) if obs_std is not None else (lambda X: X)
+    train_packed = val_packed = None
+    if config.model != "static":
+        packed = PackedRecords.pack(dataset.sequences)
+        if standardize:
+            obs_std = Standardizer.fit(packed.take(train_idx).rows)
+            packed.rows = obs_std.transform(packed.rows)
+        train_packed, val_packed = packed.take(train_idx), packed.take(val_idx)
 
     dem = None
     if dataset.n_demographics:
@@ -522,7 +476,7 @@ def _build_components(dataset: SurvivalDataset, config: TrainConfig) -> _Compone
             # a configured range describes raw observations; once they are
             # standardized the grid has to come from the prepped data instead
             if config.value_range is None or standardize:
-                pooled = np.concatenate([prep(s.observations) for s in train_seqs])
+                pooled = train_packed.rows
                 ranges = [(pooled[:, j].min(), pooled[:, j].max()) for j in range(d_in)]
                 clamp = True  # unseen records may step outside the training range
                 grid = build_grid(ranges, config.segments)
@@ -530,8 +484,7 @@ def _build_components(dataset: SurvivalDataset, config: TrainConfig) -> _Compone
                 grid = build_grid(config.value_range, config.segments, n_dims=d_in)
             state = DiscreteStateFunction(grid, clamp=clamp)
         elif config.model == "ctr-k":
-            pooled = np.concatenate([prep(s.observations) for s in train_seqs])
-            points = sample_bases(pooled, config.n_bases, rng_bases)
+            points = sample_bases(train_packed.rows, config.n_bases, rng_bases)
             basis = KernelBasisSet(points, gamma=config.gamma)
             state = KernelStateFunction(basis)
         else:
@@ -554,15 +507,9 @@ def _build_components(dataset: SurvivalDataset, config: TrainConfig) -> _Compone
         rng=rng_finit,
     )
 
-    if config.model == "static":
-        train_cache = val_cache = None
-    else:
-        train_cache = _RecordCache(
-            train_seqs, prep, config.model, grid=grid, basis=basis, clamp=clamp
-        )
-        val_cache = _RecordCache(
-            val_seqs, prep, config.model, grid=grid, basis=basis, clamp=clamp
-        )
+    if config.model in ("ctr-d", "ctr-k"):
+        # fixed state functions: weigh every training row once, up front
+        train_packed = train_packed.with_weights(state)
 
     return _Components(
         config=config,
@@ -579,8 +526,8 @@ def _build_components(dataset: SurvivalDataset, config: TrainConfig) -> _Compone
         obs_std=obs_std,
         dem_std=dem_std,
         static_std=static_std,
-        train_cache=train_cache,
-        val_cache=val_cache,
+        train_packed=train_packed,
+        val_packed=val_packed,
         rng_shuffle=rng_shuffle,
         rng_dropout=rng_dropout,
     )
@@ -615,7 +562,7 @@ def train_model(dataset: SurvivalDataset, config: TrainConfig) -> TrainedModel:
             batch_local = order[start : start + config.batch_size]
             batch_global = train_idx[batch_local]
             loss, grads = comp.batch_loss_and_grads(
-                comp.train_cache, batch_local, batch_global, comp.rng_dropout
+                comp.train_packed, batch_local, batch_global, comp.rng_dropout
             )
             if config.loss == "combined":
                 if admissible_pairs(times[batch_global], censored[batch_global])[0].size == 0:
@@ -685,7 +632,7 @@ def gradient_check_model(dataset: SurvivalDataset, config: TrainConfig,
 
     def loss_and_grads():
         return comp.batch_loss_and_grads(
-            comp.train_cache, local, global_idx, None, update_stats=False
+            comp.train_packed, local, global_idx, None, update_stats=False
         )
 
     rng = np.random.default_rng(np.random.SeedSequence([config.seed, 0xC7EC]))

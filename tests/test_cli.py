@@ -248,3 +248,74 @@ class TestGradcheck:
                                    "--max-entries", "10", "--tolerance", "1e-12")
         assert code == 1
         assert last_json(stderr)["error"] == "GradientCheckFailed"
+
+
+MINIMAL_BENCH = {
+    "rows": [
+        {"label": "A", "model": "ctr-d", "mean": 0.7, "stderr": 0.01,
+         "scores": [0.69, 0.71]},
+        {"label": "B", "model": "static", "mean": 0.6, "stderr": 0.02,
+         "scores": [0.58, 0.62]},
+    ],
+}
+
+
+def corrupt(data: bytes, rng) -> bytes:
+    """Truncate, or overwrite a few bytes with ones that are not UTF-8.
+
+    Truncation keeps at most len - 2 bytes, so it always cuts more than a
+    trailing newline; the overwrite bytes are UTF-8 continuation bytes, which
+    never decode after ASCII text.
+    """
+    if rng.random() < 0.5:
+        return data[: int(rng.integers(0, len(data) - 1))]
+    out = bytearray(data)
+    for pos in rng.choice(len(out), size=int(rng.integers(1, 4)), replace=False):
+        out[pos] = int(rng.integers(0x80, 0xC0))
+    return bytes(out)
+
+
+class TestCorruptFiles:
+    """No corrupted input file may make main raise or print a traceback."""
+
+    @pytest.mark.parametrize("target", ["manifest.json", "labels.csv", "bench"])
+    def test_seeded_corruption_fuzz(self, tmp_path, capsys, data_dir, target):
+        bench = tmp_path / "bench_report.json"
+        bench.write_text(json.dumps(MINIMAL_BENCH))
+        if target == "bench":
+            path = bench
+            argv = ("report", "--bench", str(bench), "--out", str(tmp_path / "rep"))
+        else:
+            path = data_dir / target
+            argv = ("featurize", "--data", str(data_dir), "--out", str(tmp_path / "f"))
+        assert run(capsys, *argv)[0] == 0  # the intact file is accepted
+        original = path.read_bytes()
+        rng = np.random.default_rng(["manifest.json", "labels.csv", "bench"].index(target))
+        for _ in range(12):
+            path.write_bytes(corrupt(original, rng))
+            code, _, stderr = run(capsys, *argv)
+            assert code in (1, 2)
+            lines = stderr.splitlines()
+            assert len(lines) == 1, stderr
+            assert "Traceback" not in stderr
+            assert json.loads(lines[0])["error"] == "ValidationError"
+
+    def test_manifest_missing_key_names_the_file(self, capsys, data_dir):
+        manifest = json.loads((data_dir / "manifest.json").read_text())
+        del manifest["feature_columns"]
+        (data_dir / "manifest.json").write_text(json.dumps(manifest))
+        code, _, stderr = run(capsys, "train", "--data", str(data_dir), *FAST_TRAIN)
+        assert code == 1
+        err = last_json(stderr)
+        assert err["error"] == "ValidationError"
+        assert "manifest.json" in err["message"]
+        assert "feature_columns" in err["message"]
+
+    def test_report_without_rows_names_the_file(self, tmp_path, capsys):
+        bench = tmp_path / "bad.json"
+        bench.write_text(json.dumps({"period": None}))
+        code, _, stderr = run(capsys, "report", "--bench", str(bench))
+        assert code == 1
+        err = last_json(stderr)
+        assert err["error"] == "ValidationError"
+        assert "bad.json" in err["message"]

@@ -9,6 +9,8 @@ from staytime import (
     DiscreteStateFunction,
     KernelBasisSet,
     KernelStateFunction,
+    Mlp,
+    NeuralStateFunction,
     ObservationSequence,
     ValidationError,
     build_grid,
@@ -16,7 +18,8 @@ from staytime import (
     compute_ctr_batch,
     stay_times,
 )
-from staytime.representation import decay_exponents, sigmoid, softplus
+from staytime.representation import PackedRecords, decay_exponents, sigmoid, softplus
+from staytime.states import CHUNK_ROWS
 
 
 def seq_from_times(times, n_dims=1, rng=None):
@@ -253,6 +256,106 @@ class TestComputeCtr:
         batch = compute_ctr_batch(seqs, state, 0.9)
         assert batch.shape == (5, 16)
         np.testing.assert_array_equal(batch[2], compute_ctr(seqs[2], state, 0.9))
+
+
+def chunk_spanning_records(rng, n_dims=2):
+    """Records of 1-29 rows, some with timestamps only and some with
+    duration overrides, plus one record longer than a chunk; their pooled
+    rows span several chunks and no chunk-size multiple falls on a record
+    boundary."""
+    seqs = []
+    for i in range(300):
+        m = int(rng.integers(1, 30))
+        obs = rng.uniform(-1, 1, size=(m, n_dims))
+        times = np.cumsum(rng.uniform(0.05, 1.0, size=m))
+        dur = rng.uniform(0.05, 1.0, size=m) if i % 3 else None
+        seqs.append(ObservationSequence(obs, times, durations=dur))
+        if i == 150:
+            big = CHUNK_ROWS + 300
+            seqs.append(ObservationSequence(rng.uniform(-1, 1, size=(big, n_dims)),
+                                            np.cumsum(rng.uniform(0.05, 1.0, size=big))))
+    return seqs
+
+
+class TestPackedKernel:
+    def states(self, rng):
+        grid = build_grid((-1, 1), 4, n_dims=2)
+        basis = KernelBasisSet(rng.uniform(-1, 1, size=(20, 2)), gamma=1.5)
+        net = Mlp([2, 64, 64, 25], out_activation="softmax", rng=3)
+        return [DiscreteStateFunction(grid), KernelStateFunction(basis),
+                NeuralStateFunction(net)]
+
+    def test_records_straddle_every_chunk_boundary(self):
+        seqs = chunk_spanning_records(np.random.default_rng(20))
+        packed = PackedRecords.pack(seqs)
+        chunks = list(packed.chunks())
+        assert len(chunks) >= 3
+        assert chunks[0][0] == 0 and chunks[-1][1] == len(seqs)
+        assert all(a[1] == b[0] for a, b in zip(chunks, chunks[1:]))
+        boundaries = np.arange(CHUNK_ROWS, packed.offsets[-1], CHUNK_ROWS)
+        assert len(boundaries) >= 3
+        assert not np.isin(boundaries, packed.offsets).any()
+        assert any(packed.counts[lo:hi].sum() > CHUNK_ROWS for lo, hi in chunks)
+
+    @pytest.mark.parametrize("decay,normalize", [(1.0, False), (0.7, False), (0.9, True)])
+    def test_batch_rows_equal_single_records_bitwise(self, decay, normalize):
+        rng = np.random.default_rng(21)
+        seqs = chunk_spanning_records(rng)
+        for state in self.states(rng):
+            batch = compute_ctr_batch(seqs, state, decay, normalize)
+            assert batch.shape == (len(seqs), state.n_states)
+            for i, seq in enumerate(seqs):
+                np.testing.assert_array_equal(
+                    batch[i], compute_ctr(seq, state, decay, normalize),
+                    err_msg=f"{state.kind} record {i}")
+
+    def test_matches_loop_oracle_across_chunks(self):
+        rng = np.random.default_rng(22)
+        seqs = chunk_spanning_records(rng)
+        for state in self.states(rng):
+            batch = compute_ctr_batch(seqs, state, 0.8)
+            for i in range(0, len(seqs), 7):
+                np.testing.assert_allclose(
+                    batch[i], TestComputeCtr.loop_oracle(None, seqs[i], state, 0.8),
+                    rtol=1e-12, atol=1e-13)
+
+    def test_take_equals_per_record_concatenation(self):
+        rng = np.random.default_rng(23)
+        seqs = chunk_spanning_records(rng)
+        grid_state = DiscreteStateFunction(build_grid((-1, 1), 3, n_dims=2))
+        packed = PackedRecords.pack(seqs).with_weights(grid_state)
+        for idx in ([5], [3, 3, 0], rng.permutation(len(seqs))[:64], np.arange(len(seqs))):
+            batch = packed.take(idx)
+            chosen = [seqs[i] for i in idx]
+            np.testing.assert_array_equal(
+                batch.rows, np.concatenate([s.observations for s in chosen]))
+            np.testing.assert_array_equal(
+                batch.gaps, np.concatenate([s.gaps() for s in chosen]))
+            np.testing.assert_array_equal(
+                batch.exponents, np.concatenate([decay_exponents(s) for s in chosen]))
+            np.testing.assert_array_equal(
+                batch.offsets, np.cumsum([0] + [s.n_observations for s in chosen]))
+            np.testing.assert_array_equal(
+                batch.weights,
+                np.concatenate([grid_state.weights_matrix(s.observations) for s in chosen]))
+
+    def test_pack_mixes_timestamps_and_overrides(self):
+        seqs = [
+            ObservationSequence(np.zeros((3, 1)), [1.0, 2.0, 4.0]),
+            ObservationSequence(np.zeros((2, 1)), [0.5, 3.0], durations=[0.3, 0.4]),
+            ObservationSequence(np.zeros((1, 1)), [2.5]),
+        ]
+        packed = PackedRecords.pack(seqs)
+        np.testing.assert_array_equal(packed.gaps, [1.0, 1.0, 2.0, 0.3, 0.4, 2.5])
+        np.testing.assert_array_equal(packed.exponents, [3.0, 2.0, 0.0, 2.5, 0.0, 0.0])
+        np.testing.assert_array_equal(packed.offsets, [0, 3, 5, 6])
+
+    def test_bad_decay_rejected(self):
+        seq = seq_from_times([1.0, 2.0])
+        state = DiscreteStateFunction(build_grid((-1, 1), 2, n_dims=1))
+        for bad in (0.0, 1.5, np.nan):
+            with pytest.raises(ConfigurationError):
+                compute_ctr_batch([seq], state, bad)
 
 
 class TestSequenceValidation:

@@ -14,11 +14,9 @@ from staytime import (
     SegmentGrid,
     ValidationError,
     build_grid,
-    discrete_state,
-    kernel_state,
-    neural_state,
     sample_bases,
 )
+from staytime.states import discrete_state, kernel_state, neural_state
 
 
 class TestSegmentGrid:

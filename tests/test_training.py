@@ -1,5 +1,7 @@
 """Feature extraction, standardization, config plumbing, and the training loop."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -10,10 +12,13 @@ from staytime import (
     SurvivalLabel,
     ValidationError,
 )
+from staytime.evaluation import c_index
 from staytime.training import (
     STATIC_QUANTILES,
     Standardizer,
     TrainConfig,
+    TrainedModel,
+    _build_components,
     hyper_search,
     split_validation,
     static_features,
@@ -259,3 +264,50 @@ class TestHyperSearch:
         assert max(scores) == pytest.approx(
             result.best_model.best_val_score, abs=0
         )
+
+
+def with_demographics(data, seed=1):
+    """The same records with a continuous and a binary demographic column."""
+    rng = np.random.default_rng(seed)
+    seqs = [
+        dataclasses.replace(s, demographics=np.array([rng.normal(), float(rng.random() < 0.5)]))
+        for s in data.sequences
+    ]
+    return SurvivalDataset(seqs, data.labels)
+
+
+class TestOnePathForScoringAndValidation:
+    """Library scoring and per-epoch validation run the same packed kernel,
+    so their predictions agree bit for bit.  The validation records here
+    span more than one kernel chunk."""
+
+    VARIANTS = [
+        {},
+        {"loss": "combined", "standardize": True, "normalize_ctr": True,
+         "decay_init": 0.9},
+    ]
+
+    @pytest.mark.parametrize("variant", range(len(VARIANTS)))
+    @pytest.mark.parametrize("model", ["ctr-d", "ctr-k", "ctr-n"])
+    def test_predict_equals_validation_predictions(self, model, variant):
+        data = with_demographics(toy_dataset(n=500, m=12, censor_rate=0.2))
+        cfg = tiny_config(model, value_range=None, **self.VARIANTS[variant])
+        comp = _build_components(data, cfg)
+        assert comp.val_packed.offsets[-1] > 1024
+        model_view = TrainedModel(
+            config=cfg, predictor=comp.f, state=comp.state, decay=comp.decay,
+            obs_standardizer=comp.obs_std, dem_standardizer=comp.dem_std,
+            static_standardizer=comp.static_std, history=[], best_epoch=0,
+            best_val_score=0.0,
+        )
+        np.testing.assert_array_equal(
+            model_view.predict(data.subset(comp.val_idx)), comp.predict_validation())
+
+    @pytest.mark.parametrize("model", ["ctr-d", "ctr-k", "ctr-n"])
+    def test_trained_model_reproduces_best_validation_score(self, model):
+        data = toy_dataset(n=200, censor_rate=0.2)
+        cfg = tiny_config(model, epochs=6, patience=6)
+        trained = train_model(data, cfg)
+        val = data.subset(_build_components(data, cfg).val_idx)
+        score = c_index(trained.predict(val), val.event_times(), val.censor_mask())
+        assert score == trained.best_val_score
