@@ -64,6 +64,14 @@ def admissible_pairs(times, censored):
     return np.nonzero(earlier)
 
 
+def has_admissible_pair(times, censored) -> bool:
+    """Whether admissible_pairs(times, censored) is non-empty, in O(B): some
+    uncensored record's time lies below the largest time."""
+    times = np.asarray(times, dtype=float)
+    censored = np.asarray(censored, dtype=bool)
+    return bool(times.size) and bool(np.any(times[~censored] < times.max()))
+
+
 def combined_loss(preds, times, censored):
     """Squared loss over uncensored records plus a pairwise ranking penalty.
 
@@ -71,7 +79,7 @@ def combined_loss(preds, times, censored):
     pairs, so a pair predicted in the wrong order (earlier event scored
     higher) is penalized and a tied pair costs exactly ln 2.  Batches with no
     admissible pairs contribute a ranking term of zero.  Returns
-    (loss, grad); callers can count zero-pair batches via admissible_pairs.
+    (loss, grad); callers can count zero-pair batches via has_admissible_pair.
     """
     preds = np.asarray(preds, dtype=float)
     times = np.asarray(times, dtype=float)
@@ -565,7 +573,7 @@ def train_model(dataset: SurvivalDataset, config: TrainConfig) -> TrainedModel:
                 comp.train_packed, batch_local, batch_global, comp.rng_dropout
             )
             if config.loss == "combined":
-                if admissible_pairs(times[batch_global], censored[batch_global])[0].size == 0:
+                if not has_admissible_pair(times[batch_global], censored[batch_global]):
                     pairless += 1
             _require_finite(loss, f"loss at epoch {epoch}")
             for name, g in grads.items():

@@ -1,11 +1,16 @@
 """Concordance scoring, cross-validation folds, and period-bucketed comparison."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from staytime import UndefinedResultError, ValidationError
+from staytime import evaluation
 from staytime.evaluation import (
     FoldReport,
+    _DIRECT_COUNT_MAX,
+    _pair_counts,
     c_index,
     fold_assignments,
     kfold_cv,
@@ -32,6 +37,27 @@ def c_index_oracle(preds, times, censored):
     if den == 0:
         raise UndefinedResultError("no pairs")
     return num / den
+
+
+def pair_count_oracle(preds, times, censored):
+    """(concordant, tied, admissible) from the full N x N admissible-pair
+    mask: quadratic memory, fine for a few thousand records."""
+    earlier = times[:, None] < times[None, :]
+    earlier &= ~censored[:, None]
+    diff = preds[None, :] - preds[:, None]
+    return (
+        int(np.count_nonzero(earlier & (diff > 0))),
+        int(np.count_nonzero(earlier & (diff == 0))),
+        int(np.count_nonzero(earlier)),
+    )
+
+
+def random_case(rng, n, censor_rate):
+    """Predictions and times rounded so both tie often, at a random scale."""
+    preds = rng.normal(size=n).round(int(rng.integers(0, 3)))
+    times = rng.uniform(0.5, 3.0, size=n).round(int(rng.integers(1, 4)))
+    censored = rng.random(n) < censor_rate
+    return preds, times, censored
 
 
 class TestCIndex:
@@ -91,6 +117,62 @@ class TestCIndex:
     def test_tied_times_alone_are_undefined(self):
         with pytest.raises(UndefinedResultError):
             c_index(np.arange(3.0), np.full(3, 2.0))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("arg", ["preds", "times"])
+    def test_non_finite_input_rejected_by_name(self, arg, bad):
+        values = {"preds": np.array([1.0, 2.0, 3.0]), "times": np.array([1.0, 2.0, 3.0])}
+        values[arg][1] = bad
+        with pytest.raises(ValidationError, match=arg):
+            c_index(values["preds"], values["times"])
+
+
+SIZES = sorted({2, 3, 5, 17, 64, 250, _DIRECT_COUNT_MAX - 1, _DIRECT_COUNT_MAX,
+                _DIRECT_COUNT_MAX + 1, 1000, 3000})
+
+
+class TestCIndexAtScale:
+    @pytest.mark.parametrize("censor_rate", [0.0, 0.3, 1.0])
+    def test_matches_matrix_oracle_exactly(self, censor_rate):
+        rng = np.random.default_rng(int(censor_rate * 10) + 11)
+        sizes = SIZES + [int(n) for n in rng.integers(2, 3000, size=6)]
+        for n in sizes:
+            preds, times, censored = random_case(rng, n, censor_rate)
+            counts = pair_count_oracle(preds, times, censored)
+            assert _pair_counts(preds, times, censored) == counts, n
+            concordant, tied, pairs = counts
+            if pairs == 0:
+                with pytest.raises(UndefinedResultError):
+                    c_index(preds, times, censored)
+                continue
+            expected = (concordant + 0.5 * tied) / pairs
+            assert c_index(preds, times, censored) == expected, n
+            perm = rng.permutation(n)
+            assert c_index(preds[perm], times[perm], censored[perm]) == expected, n
+
+    def test_sort_count_matches_direct_count_on_small_inputs(self, monkeypatch):
+        rng = np.random.default_rng(12)
+        cases = [random_case(rng, int(rng.integers(1, 80)), rng.choice([0.0, 0.3, 1.0]))
+                 for _ in range(200)]
+        cases.append((np.zeros(4), np.full(4, 2.0), np.zeros(4, bool)))
+        direct = [_pair_counts(*case) for case in cases]
+        monkeypatch.setattr(evaluation, "_DIRECT_COUNT_MAX", 0)
+        assert [_pair_counts(*case) for case in cases] == direct
+
+    def test_memory_stays_linear_at_100k_records(self):
+        rng = np.random.default_rng(13)
+        n = 100_000
+        preds = rng.normal(size=n)
+        times = rng.uniform(0.5, 3.0, size=n).round(3)
+        censored = rng.random(n) < 0.3
+        tracemalloc.start()
+        try:
+            score = c_index(preds, times, censored)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert 0.0 < score < 1.0
+        assert peak < 32 * 2**20, f"peak {peak / 2**20:.1f} MiB"
 
 
 class TestFoldAssignments:

@@ -4,7 +4,12 @@ import numpy as np
 import pytest
 
 from staytime import ValidationError
-from staytime.training import admissible_pairs, combined_loss, squared_loss
+from staytime.training import (
+    admissible_pairs,
+    combined_loss,
+    has_admissible_pair,
+    squared_loss,
+)
 
 LN2 = 0.6931471805599453
 
@@ -110,6 +115,22 @@ class TestCombinedLoss:
         # as the earlier one
         assert pairs == {(0, 1), (0, 2), (1, 2)}
         assert all(not censored[n] for n in n_idx)
+
+    def test_pairless_predicate_matches_pair_mask(self):
+        rng = np.random.default_rng(4)
+        batches = [
+            (np.array([1.0, 2.0]), np.array([True, True])),
+            (np.full(5, 2.0), np.zeros(5, bool)),
+            (np.array([3.0]), np.array([False])),
+        ]
+        for _ in range(500):
+            b = int(rng.integers(1, 12))
+            times = rng.uniform(0.5, 3.0, size=b).round(int(rng.integers(0, 2)))
+            censored = rng.random(b) < rng.choice([0.0, 0.3, 0.8, 1.0])
+            batches.append((times, censored))
+        for times, censored in batches:
+            expected = admissible_pairs(times, censored)[0].size > 0
+            assert has_admissible_pair(times, censored) == expected
 
     def test_gradient_against_finite_differences(self):
         rng = np.random.default_rng(3)
