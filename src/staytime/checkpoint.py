@@ -21,7 +21,6 @@ from .data_io import atomic_write_bytes
 from .errors import ValidationError
 from .nn import Mlp
 from .representation import DecayParameter
-from .sequences import SurvivalDataset  # noqa: F401  (re-exported type hint)
 from .states import (
     DiscreteStateFunction,
     KernelBasisSet,

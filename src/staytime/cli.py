@@ -16,6 +16,7 @@ import json
 import os
 import sys
 import time
+import typing
 from pathlib import Path
 
 import numpy as np
@@ -61,8 +62,19 @@ def _out_dir(args) -> Path:
     return Path(os.environ.get(OUT_DIR_ENV, "."))
 
 
-def _merged_options(args, keys) -> dict:
+def _fits(value, kind) -> bool:
+    """Whether a JSON value has one of a config field's types: JSON arrays
+    stand for tuples, and a bool is not a number."""
+    if kind is tuple:
+        return isinstance(value, list)
+    if isinstance(value, bool):
+        return kind is bool
+    return isinstance(value, (int, float) if kind is float else kind)
+
+
+def _merged_options(args, config_cls) -> dict:
     """Flag values override config-file values; unset keys are omitted."""
+    fields = {f.name: f.type for f in dataclasses.fields(config_cls)}
     from_file = {}
     if getattr(args, "config", None):
         path = Path(args.config)
@@ -72,23 +84,27 @@ def _merged_options(args, keys) -> dict:
             from_file = json.loads(path.read_text())
         except json.JSONDecodeError as exc:
             raise ConfigurationError(f"config file {path} is not valid JSON: {exc}")
-        unknown = sorted(set(from_file) - set(keys))
+        if not isinstance(from_file, dict):
+            raise ConfigurationError(f"config file {path} does not hold a JSON object")
+        unknown = sorted(set(from_file) - set(fields))
         if unknown:
             raise ConfigurationError(
                 f"config file {path} has unknown fields: {', '.join(unknown)}"
             )
+        hints = typing.get_type_hints(config_cls)
+        for key, value in from_file.items():
+            kinds = typing.get_args(hints[key]) or (hints[key],)
+            if value is not None and not any(_fits(value, kind) for kind in kinds):
+                raise ConfigurationError(
+                    f"config file {path}: field {key!r} must be {fields[key]}, got {value!r}")
     merged = {}
-    for key in keys:
+    for key in fields:
         value = getattr(args, key, None)
         if value is None and key in from_file:
             value = from_file[key]
         if value is not None:
             merged[key] = value
     return merged
-
-
-SYNTH_KEYS = tuple(f.name for f in dataclasses.fields(SynthConfig))
-TRAIN_KEYS = tuple(f.name for f in dataclasses.fields(TrainConfig))
 
 
 def _add_synth_flags(p: _Parser) -> None:
@@ -136,7 +152,7 @@ def _add_train_flags(p: _Parser) -> None:
 
 
 def _train_config(args) -> TrainConfig:
-    merged = _merged_options(args, TRAIN_KEYS)
+    merged = _merged_options(args, TrainConfig)
     if "model" not in merged:
         raise ConfigurationError("a model kind is required (--model or config file)")
     if "seed" not in merged:
@@ -147,7 +163,7 @@ def _train_config(args) -> TrainConfig:
 
 
 def _synth_config(args) -> SynthConfig:
-    merged = _merged_options(args, SYNTH_KEYS)
+    merged = _merged_options(args, SynthConfig)
     if "seed" not in merged:
         raise ConfigurationError("a seed is required (--seed or config file)")
     return SynthConfig(**merged)
@@ -180,18 +196,19 @@ def cmd_featurize(args) -> int:
     data = read_dataset(args.data, forward_fill=args.forward_fill)
     out = _out_dir(args)
     out.mkdir(parents=True, exist_ok=True)
+    # only the flags given; CtrFeaturizer holds the defaults and the checks
+    given = {"segments": args.segments, "n_bases": args.n_bases, "gamma": args.gamma,
+             "random_state": args.seed,
+             "value_range": None if args.value_range is None else tuple(args.value_range)}
     featurizer = CtrFeaturizer(
-        kind=args.kind, segments=args.segments or 5,
-        value_range=tuple(args.value_range or (-1.0, 1.0)), clamp=args.clamp,
-        n_bases=args.n_bases or 100, gamma=args.gamma or 1.0, decay=args.decay,
-        normalize=args.normalize, random_state=args.seed or 0,
+        kind=args.kind, clamp=args.clamp, decay=args.decay, normalize=args.normalize,
+        **{name: value for name, value in given.items() if value is not None},
     )
-    ids = [seq.record_id for seq in data.sequences]
+    ids = data.record_ids.tolist()
     atomic_write_text(out / "features.csv", _table("z", ids, featurizer.fit_transform(data)))
     written = ["features.csv"]
     if args.static:
-        atomic_write_text(out / "static.csv",
-                          _table("s", ids, static_features_batch(data.sequences)))
+        atomic_write_text(out / "static.csv", _table("s", ids, static_features_batch(data)))
         written.append("static.csv")
     _emit({
         "command": "featurize",

@@ -14,12 +14,13 @@ import csv
 import io
 import json
 import os
+from array import array
 from pathlib import Path
 
 import numpy as np
 
 from .errors import ValidationError
-from .sequences import ObservationSequence, SurvivalDataset, SurvivalLabel
+from .sequences import SurvivalDataset, event_time_fault
 from .states import SegmentGrid
 
 SCHEMA_VERSION = 1
@@ -45,15 +46,16 @@ def atomic_write_bytes(path, data: bytes) -> None:
     os.replace(tmp, path)
 
 
-def _fmt(value) -> str:
-    return repr(float(value))
+def _floats(column: np.ndarray):
+    return map(repr, column.tolist())
 
 
-def _csv_text(header, rows) -> str:
+def _csv_text(header, *columns) -> str:
+    """CSV text of a header row and whole columns of cells."""
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(header)
-    writer.writerows(rows)
+    writer.writerows(zip(*columns))
     return buf.getvalue()
 
 
@@ -62,29 +64,19 @@ def write_dataset(dataset: SurvivalDataset, directory,
     """Write a labeled dataset as CSV tables plus a manifest."""
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
-    labels = dataset.require_labels()
+    times, censored = dataset.event_times(), dataset.censor_mask()
     d = dataset.n_features
     feature_cols = [f"x{j}" for j in range(d)]
-    has_durations = all(s.durations is not None for s in dataset.sequences)
+    has_durations = bool(dataset.has_durations.all())
     n_dem = dataset.n_demographics
     dem_cols = [f"g{j}" for j in range(n_dem)]
 
     obs_header = ["record_id", "timestamp", *feature_cols]
+    obs_columns = [dataset.timestamps, *dataset.rows.T]
     if has_durations:
         obs_header.append("duration")
-    obs_rows = []
-    for seq in dataset.sequences:
-        for m in range(seq.n_observations):
-            row = [seq.record_id, _fmt(seq.timestamps[m])]
-            row += [_fmt(v) for v in seq.observations[m]]
-            if has_durations:
-                row.append(_fmt(seq.durations[m]))
-            obs_rows.append(row)
-
-    label_rows = [
-        [seq.record_id, _fmt(lab.event_time), "1" if lab.censored else "0"]
-        for seq, lab in zip(dataset.sequences, labels)
-    ]
+        obs_columns.append(dataset.gaps)
+    row_ids = np.repeat(dataset.record_ids, np.diff(dataset.offsets))
 
     manifest = {
         "schema_version": SCHEMA_VERSION,
@@ -96,16 +88,15 @@ def write_dataset(dataset: SurvivalDataset, directory,
         "demographic_columns": dem_cols,
     }
 
-    atomic_write_text(directory / OBSERVATIONS_FILE, _csv_text(obs_header, obs_rows))
+    atomic_write_text(directory / OBSERVATIONS_FILE,
+                      _csv_text(obs_header, row_ids, *map(_floats, obs_columns)))
     atomic_write_text(directory / LABELS_FILE, _csv_text(
-        ["record_id", "event_time", "censored"], label_rows))
+        ["record_id", "event_time", "censored"], dataset.record_ids, _floats(times),
+        np.where(censored, "1", "0")))
     if n_dem:
-        dem_rows = [
-            [seq.record_id, *(_fmt(v) for v in seq.demographics)]
-            for seq in dataset.sequences
-        ]
         atomic_write_text(directory / DEMOGRAPHICS_FILE, _csv_text(
-            ["record_id", *dem_cols], dem_rows))
+            ["record_id", *dem_cols], dataset.record_ids,
+            *map(_floats, dataset.demographics.T)))
     atomic_write_text(directory / MANIFEST_FILE,
                       json.dumps(manifest, indent=2, sort_keys=True) + "\n")
 
@@ -121,15 +112,40 @@ def _parse_float(value, file, row, column):
         _fail(file, row, f"column {column!r} is not a number: {value!r}")
 
 
-def _read_rows(path):
+def _table(path, header_rule, expected, index=None):
+    """The data rows of a CSV file, streamed as (row number, record, cells)
+    once the header row is checked: each row must have the header's width
+    and, when index maps record ids to records, a labeled record_id."""
     try:
         with open(path, newline="", encoding="utf-8") as fh:
-            rows = list(csv.reader(fh))
+            rows = csv.reader(fh)
+            found = next(rows, None)
+            if found is None:
+                _fail(path.name, 1, "file is empty")
+            if found != expected:
+                _fail(path.name, 1, header_rule.format(found=found, expected=expected))
+            for i, row in enumerate(rows, start=2):
+                if len(row) != len(expected):
+                    _fail(path.name, i, f"expected {len(expected)} columns, found {len(row)}")
+                record = None if index is None else index.get(row[0])
+                if index is not None and record is None:
+                    _fail(path.name, i, f"record_id {row[0]!r} has no label row")
+                yield i, record, row
     except (UnicodeDecodeError, csv.Error) as exc:
         raise ValidationError(f"{path.name}: not a readable CSV file: {exc}") from None
-    if not rows:
-        raise ValidationError(f"{path.name}, row 1: file is empty")
-    return rows[0], rows[1:]
+
+
+def _feature(cell, i, column, inherited, forward_fill):
+    """One observation cell; an empty one inherits the record's previous row
+    under forward fill."""
+    if cell != "":
+        return _parse_float(cell, OBSERVATIONS_FILE, i, column)
+    if not forward_fill:
+        _fail(OBSERVATIONS_FILE, i, f"empty cell in column {column!r} (forward fill is off)")
+    if inherited is None:
+        _fail(OBSERVATIONS_FILE, i,
+              f"empty cell in column {column!r} with no earlier value to fill from")
+    return inherited
 
 
 def read_dataset(directory, forward_fill: bool = False) -> SurvivalDataset:
@@ -138,7 +154,8 @@ def read_dataset(directory, forward_fill: bool = False) -> SurvivalDataset:
     Validation failures name the file, the 1-based row, and the violated
     rule.  forward_fill lets empty observation cells inherit the value from
     the previous row of the same record; a leading empty cell has nothing to
-    inherit and is always an error.
+    inherit and is always an error.  Rows stream straight into the dataset's
+    columns, and one record's rows may be interleaved with other records'.
     """
     directory = Path(directory)
     manifest_path = directory / MANIFEST_FILE
@@ -159,113 +176,82 @@ def read_dataset(directory, forward_fill: bool = False) -> SurvivalDataset:
             f"{MANIFEST_FILE}, row 1: unreadable manifest ({type(exc).__name__}: {exc})"
         ) from None
 
-    # labels first: they define which record ids exist
-    lab_header, lab_rows = _read_rows(directory / LABELS_FILE)
-    if lab_header != ["record_id", "event_time", "censored"]:
-        _fail(LABELS_FILE, 1, f"unexpected header {lab_header}")
-    labels = {}
-    order = []
-    for i, row in enumerate(lab_rows, start=2):
-        if len(row) != 3:
-            _fail(LABELS_FILE, i, f"expected 3 columns, found {len(row)}")
-        rid, time_s, cens_s = row
-        if rid in labels:
+    # labels first: they define which record ids exist, and their order
+    index, times, censored = {}, array("d"), array("b")
+    for i, _, (rid, time_s, cens_s) in _table(
+            directory / LABELS_FILE, "unexpected header {found}",
+            ["record_id", "event_time", "censored"]):
+        if rid in index:
             _fail(LABELS_FILE, i, f"duplicate record_id {rid!r}")
         if cens_s not in ("0", "1"):
             _fail(LABELS_FILE, i, f"censored flag must be 0 or 1, found {cens_s!r}")
         event_time = _parse_float(time_s, LABELS_FILE, i, "event_time")
-        try:
-            labels[rid] = SurvivalLabel(event_time, censored=cens_s == "1")
-        except ValidationError as exc:
-            _fail(LABELS_FILE, i, str(exc))
-        order.append(rid)
+        fault = event_time_fault(event_time)
+        if fault:
+            _fail(LABELS_FILE, i, fault)
+        index[rid] = len(index)
+        times.append(event_time)
+        censored.append(cens_s == "1")
+    ids = list(index)
 
-    obs_header, obs_rows = _read_rows(directory / OBSERVATIONS_FILE)
+    # each observation row's record, and its timestamp, features and duration
     expected = ["record_id", "timestamp", *feature_cols]
     if has_durations:
         expected.append("duration")
-    if obs_header != expected:
-        _fail(OBSERVATIONS_FILE, 1, f"header {obs_header} does not match manifest {expected}")
-
-    per_record: dict[str, dict] = {}
-    for i, row in enumerate(obs_rows, start=2):
-        if len(row) != len(expected):
-            _fail(OBSERVATIONS_FILE, i, f"expected {len(expected)} columns, found {len(row)}")
-        rid = row[0]
-        if rid not in labels:
-            _fail(OBSERVATIONS_FILE, i, f"record_id {rid!r} has no label row")
-        t = _parse_float(row[1], OBSERVATIONS_FILE, i, "timestamp")
-        entry = per_record.setdefault(
-            rid, {"t": [], "x": [], "d": [], "last": [None] * len(feature_cols)}
-        )
-        if entry["t"]:
-            if t == entry["t"][-1]:
-                _fail(OBSERVATIONS_FILE, i, f"duplicate timestamp {row[1]} for record {rid!r}")
-            if t < entry["t"][-1]:
-                _fail(OBSERVATIONS_FILE, i,
-                      f"timestamps for record {rid!r} must be strictly increasing")
-        features = []
-        for j, cell in enumerate(row[2 : 2 + len(feature_cols)]):
-            if cell == "":
-                if not forward_fill:
-                    _fail(OBSERVATIONS_FILE, i,
-                          f"empty cell in column {feature_cols[j]!r} (forward fill is off)")
-                if entry["last"][j] is None:
-                    _fail(OBSERVATIONS_FILE, i,
-                          f"empty cell in column {feature_cols[j]!r} with no earlier value to fill from")
-                features.append(entry["last"][j])
-            else:
-                features.append(_parse_float(cell, OBSERVATIONS_FILE, i, feature_cols[j]))
-        entry["last"] = features
-        entry["t"].append(t)
-        entry["x"].append(features)
-        if has_durations:
-            entry["d"].append(_parse_float(row[-1], OBSERVATIONS_FILE, i, "duration"))
-
-    demographics = {}
-    if dem_cols:
-        dem_header, dem_rows = _read_rows(directory / DEMOGRAPHICS_FILE)
-        if dem_header != ["record_id", *dem_cols]:
-            _fail(DEMOGRAPHICS_FILE, 1, f"unexpected header {dem_header}")
-        for i, row in enumerate(dem_rows, start=2):
-            if len(row) != 1 + len(dem_cols):
-                _fail(DEMOGRAPHICS_FILE, i,
-                      f"expected {1 + len(dem_cols)} columns, found {len(row)}")
-            rid = row[0]
-            if rid not in labels:
-                _fail(DEMOGRAPHICS_FILE, i, f"record_id {rid!r} has no label row")
-            if rid in demographics:
-                _fail(DEMOGRAPHICS_FILE, i, f"duplicate record_id {rid!r}")
-            demographics[rid] = [
-                _parse_float(c, DEMOGRAPHICS_FILE, i, dem_cols[j])
-                for j, c in enumerate(row[1:])
-            ]
-
-    sequences, label_list = [], []
-    for rid in order:
-        if rid not in per_record:
-            _fail(LABELS_FILE, 2 + order.index(rid),
-                  f"record {rid!r} has no observation rows")
-        entry = per_record[rid]
-        dem = None
-        if dem_cols:
-            if rid not in demographics:
-                _fail(DEMOGRAPHICS_FILE, 1, f"record {rid!r} missing a demographics row")
-            dem = np.array(demographics[rid])
+    record, values = array("q"), array("d")
+    previous = [-1] * len(ids)  # where each record's latest row starts in values
+    for i, r, row in _table(directory / OBSERVATIONS_FILE,
+                            "header {found} does not match manifest {expected}", expected, index):
+        start, last = len(values), previous[r]
         try:
-            sequences.append(
-                ObservationSequence(
-                    observations=np.array(entry["x"]),
-                    timestamps=np.array(entry["t"]),
-                    durations=np.array(entry["d"]) if has_durations else None,
-                    demographics=dem,
-                    record_id=rid,
-                )
-            )
-        except ValidationError as exc:
-            _fail(OBSERVATIONS_FILE, 1, f"record {rid!r}: {exc}")
-        label_list.append(labels[rid])
-    return SurvivalDataset(sequences, label_list)
+            values.extend(map(float, row[1:]))
+        except ValueError:  # an empty or malformed cell: parse again cell by cell
+            del values[start:]
+            values.append(_parse_float(row[1], OBSERVATIONS_FILE, i, "timestamp"))
+        t = values[start]
+        if last >= 0 and t == values[last]:
+            _fail(OBSERVATIONS_FILE, i, f"duplicate timestamp {row[1]} for record {row[0]!r}")
+        if last >= 0 and t < values[last]:
+            _fail(OBSERVATIONS_FILE, i, f"timestamps for record {row[0]!r} must be strictly increasing")
+        if len(values) == start + 1:  # name the bad cell in column order, or fill it
+            values.extend(_feature(cell, i, column, None if last < 0 else values[last + 1 + j],
+                                   forward_fill)
+                          for j, (cell, column) in enumerate(zip(row[2:], feature_cols)))
+            if has_durations:
+                values.append(_parse_float(row[-1], OBSERVATIONS_FILE, i, "duration"))
+        previous[r] = start
+        record.append(r)
+
+    demographics = np.empty((len(ids), len(dem_cols)))
+    seen = np.zeros(len(ids), dtype=bool)
+    if dem_cols:
+        for i, r, row in _table(directory / DEMOGRAPHICS_FILE, "unexpected header {found}",
+                                ["record_id", *dem_cols], index):
+            if seen[r]:
+                _fail(DEMOGRAPHICS_FILE, i, f"duplicate record_id {row[0]!r}")
+            seen[r] = True
+            for j, (cell, column) in enumerate(zip(row[1:], dem_cols)):
+                demographics[r, j] = _parse_float(cell, DEMOGRAPHICS_FILE, i, column)
+
+    record = np.frombuffer(record, dtype=np.int64)
+    counts = np.bincount(record, minlength=len(ids))
+    empty, unseen = np.flatnonzero(counts == 0), np.flatnonzero(~seen)
+    if empty.size:
+        _fail(LABELS_FILE, 2 + empty[0], f"record {ids[empty[0]]!r} has no observation rows")
+    if dem_cols and unseen.size:
+        _fail(DEMOGRAPHICS_FILE, 1, f"record {ids[unseen[0]]!r} missing a demographics row")
+    # group the rows by record, in label order, each record's rows in file order
+    table = np.frombuffer(values).reshape(-1, len(expected) - 1)[np.argsort(record, kind="stable")]
+    try:
+        return SurvivalDataset._from_columns(
+            rows=table[:, 1 : 1 + len(feature_cols)], timestamps=table[:, 0],
+            offsets=np.concatenate(([0], np.cumsum(counts))), record_ids=ids,
+            durations=table[:, -1] if has_durations else None,
+            demographics=demographics, event_times=times, censored=censored)
+    except ValidationError as exc:
+        if not ids:
+            raise  # no records at all: no record's rows to blame
+        _fail(OBSERVATIONS_FILE, 1, str(exc))
 
 
 def write_truth(synth, directory) -> None:
@@ -276,10 +262,7 @@ def write_truth(synth, directory) -> None:
         "config": synth.config.to_dict(),
         "boundaries": [[float(v) for v in b] for b in synth.grid.boundaries],
         "weights": [float(v) for v in synth.weights],
-        "noise_free": {
-            seq.record_id: float(t)
-            for seq, t in zip(synth.dataset.sequences, synth.noise_free)
-        },
+        "noise_free": dict(zip(synth.dataset.record_ids.tolist(), synth.noise_free.tolist())),
     }
     atomic_write_text(directory / TRUTH_FILE,
                       json.dumps(payload, indent=2, sort_keys=True) + "\n")

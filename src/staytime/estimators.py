@@ -17,7 +17,7 @@ import numpy as np
 from .errors import ConfigurationError, ValidationError
 from .evaluation import c_index
 from .representation import compute_ctr_batch
-from .sequences import SurvivalDataset, as_dataset
+from .sequences import SurvivalDataset, as_dataset, as_float_array
 from .states import (
     DiscreteStateFunction,
     KernelBasisSet,
@@ -59,13 +59,15 @@ class ParamsMixin:
 
 def _as_labeled_dataset(X, y=None, censored=None) -> SurvivalDataset:
     if isinstance(X, SurvivalDataset) and y is None:
-        X.require_labels()
+        X.event_times()  # raises when X carries no labels
         return X
     if y is None:
         raise ValidationError("y (event times) is required when X carries no labels")
     if censored is None:
         censored = np.zeros(len(y), dtype=bool)
-    return as_dataset(as_dataset(X).sequences, (y, censored))
+    if isinstance(X, SurvivalDataset):
+        return X._with_labels(as_float_array(y, "event times", 1), censored)
+    return as_dataset(X, (y, censored))
 
 
 class CtrFeaturizer(ParamsMixin):
@@ -91,7 +93,7 @@ class CtrFeaturizer(ParamsMixin):
         self.random_state = random_state
 
     def fit(self, X, y=None):
-        pooled = np.concatenate([s.observations for s in as_dataset(X).sequences])
+        pooled = as_dataset(X).rows
         n_dims = pooled.shape[1]
         if self.kind == "grid":
             if self.value_range is None:
@@ -116,7 +118,7 @@ class CtrFeaturizer(ParamsMixin):
     def transform(self, X) -> np.ndarray:
         if not hasattr(self, "state_"):
             raise ValidationError("this featurizer is not fitted; call fit first")
-        return compute_ctr_batch(as_dataset(X).sequences, self.state_, decay=self.decay,
+        return compute_ctr_batch(as_dataset(X), self.state_, decay=self.decay,
                                  normalize=self.normalize)
 
     def fit_transform(self, X, y=None) -> np.ndarray:
@@ -162,10 +164,10 @@ class StayTimeRegressor(ParamsMixin):
 
     def predict(self, X) -> np.ndarray:
         self._require_fitted()
-        return self.model_.predict(as_dataset(X).sequences)
+        return self.model_.predict(as_dataset(X))
 
     def score(self, X, y=None, censored=None) -> float:
         self._require_fitted()
         dataset = _as_labeled_dataset(X, y, censored)
-        preds = self.model_.predict(dataset.sequences)
+        preds = self.model_.predict(dataset)
         return c_index(preds, dataset.event_times(), dataset.censor_mask())

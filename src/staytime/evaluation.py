@@ -190,7 +190,6 @@ def kfold_cv(dataset: SurvivalDataset, config, k: int = 5, seed: int = 0,
     """
     from .training import hyper_search  # local import to avoid a module cycle
 
-    dataset.require_labels()
     times = dataset.event_times()
     censored = dataset.censor_mask()
     if stratify is None:

@@ -7,10 +7,9 @@ contributions gives a fixed-length vector z whose entries total the decayed
 stay time, regardless of how many observations the record has or how unevenly
 they are spaced.
 
-Every path from records to stay-time vectors runs through PackedRecords: the
-records' rows, stay times and decay exponents pooled into flat arrays once,
-then scored chunk by chunk with one state-function call and one segment sum
-per chunk.
+Every path from records to stay-time vectors runs through PackedRecords: a
+dataset's row and stay-time columns plus each row's decay exponent, scored
+chunk by chunk with one state-function call and one segment sum per chunk.
 """
 
 from __future__ import annotations
@@ -20,7 +19,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import ConfigurationError
-from .sequences import ObservationSequence
+from .sequences import ObservationSequence, as_dataset, gather_rows
 from .states import CHUNK_ROWS, StateFunction
 
 
@@ -108,18 +107,13 @@ class PackedRecords:
     weights: np.ndarray | None = None
 
     @classmethod
-    def pack(cls, sequences) -> "PackedRecords":
-        counts = np.array([s.n_observations for s in sequences])
-        offsets = np.concatenate(([0], np.cumsum(counts)))
-        times = np.concatenate([s.timestamps for s in sequences])
-        gaps = np.diff(times, prepend=0.0)
-        gaps[offsets[:-1]] = times[offsets[:-1]]  # the first stay starts at time zero
-        overrides = [s.durations for s in sequences if s.durations is not None]
-        if overrides:
-            overridden = np.repeat([s.durations is not None for s in sequences], counts)
-            gaps[overridden] = np.concatenate(overrides)
-        return cls(np.concatenate([s.observations for s in sequences]), gaps,
-                   np.repeat(times[offsets[1:] - 1], counts) - times, offsets)
+    def pack(cls, records) -> "PackedRecords":
+        """The columns of a SurvivalDataset, or of ObservationSequence objects
+        packed into one, plus each row's decay exponent."""
+        data = as_dataset(records)
+        t, offsets = data.timestamps, data.offsets
+        return cls(data.rows, data.gaps, np.repeat(t[offsets[1:] - 1], np.diff(offsets)) - t,
+                   offsets)
 
     @property
     def counts(self) -> np.ndarray:
@@ -127,9 +121,7 @@ class PackedRecords:
 
     def take(self, indices) -> "PackedRecords":
         """The records at indices, in that order, packed afresh."""
-        counts = self.counts[indices]
-        offsets = np.concatenate(([0], np.cumsum(counts)))
-        idx = np.arange(offsets[-1]) + np.repeat(self.offsets[indices] - offsets[:-1], counts)
+        offsets, idx = gather_rows(self.offsets, indices)
         weights = None if self.weights is None else self.weights[idx]
         return PackedRecords(self.rows[idx], self.gaps[idx], self.exponents[idx],
                              offsets, weights)
@@ -193,6 +185,7 @@ def compute_ctr(seq: ObservationSequence, state: StateFunction, decay: float = 1
 
 def compute_ctr_batch(sequences, state: StateFunction, decay: float = 1.0,
                       normalize: bool = False) -> np.ndarray:
-    """(N, K) matrix of compute_ctr over records, from one packed pass."""
+    """(N, K) matrix of compute_ctr over records (a SurvivalDataset or
+    ObservationSequence objects), from one packed pass."""
     decay = DecayParameter(decay).value  # rejects values outside (0, 1]
     return stay_time_matrix(PackedRecords.pack(sequences), state, decay, normalize)

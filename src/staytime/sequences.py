@@ -3,12 +3,15 @@
 A record is a short multivariate time series: M observation vectors taken at
 strictly increasing times inside an observation window, optionally paired with
 a static demographics vector and a survival label (time to event, possibly
-censored).
+censored).  ObservationSequence and SurvivalLabel are the per-record forms;
+a SurvivalDataset stores many records as flat columns (Arrow's list layout)
+and builds the per-record forms back only on request.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -23,6 +26,45 @@ def as_float_array(values, name: str, ndim: int) -> np.ndarray:
     if arr.size and not np.all(np.isfinite(arr)):
         raise ValidationError(f"{name} contains non-finite entries")
     return arr
+
+
+def _check_records(rows, timestamps, offsets, durations, has_durations, demographics):
+    """ObservationSequence's rules on values, applied to every record of a
+    column layout at once.  Returns the stay time of every row, and the first
+    record that breaks a rule, with the rule (None if none does).
+
+    A row's stay time is its durations entry when has_durations flags its
+    record, otherwise the gap to the previous timestamp (time zero before
+    the first).
+    """
+    first = offsets[:-1]
+    stay = np.diff(timestamps, prepend=0.0)
+    rising = stay > 0
+    rising[first] = True
+    stay[first] = timestamps[first]
+    given = np.repeat(has_durations, np.diff(offsets))
+    gaps = stay if durations is None else np.where(given, durations, stay)
+
+    def in_record(row_mask):
+        return np.logical_or.reduceat(row_mask, first)
+
+    # in the order ObservationSequence applies them
+    rules = (
+        ("observations contains non-finite entries", in_record(~np.isfinite(rows).all(axis=1))),
+        ("durations contains non-finite entries", in_record(given & ~np.isfinite(gaps))),
+        ("durations must all be positive", in_record(given & (gaps <= 0))),
+        ("timestamps contains non-finite entries", in_record(~np.isfinite(timestamps))),
+        ("timestamps must be nonnegative", in_record(timestamps < 0)),
+        ("timestamps must be strictly increasing", in_record(~rising)),
+        ("first timestamp must be positive (stay times must be positive)",
+         ~has_durations & (timestamps[first] <= 0)),
+        ("demographics contains non-finite entries", ~np.isfinite(demographics).all(axis=1)),
+    )
+    broken = np.array([mask for _, mask in rules])
+    faulty = np.flatnonzero(broken.any(axis=0))
+    if not faulty.size:
+        return gaps, None
+    return gaps, (faulty[0], rules[int(np.argmax(broken[:, faulty[0]]))][0])
 
 
 @dataclass(frozen=True)
@@ -100,6 +142,14 @@ class ObservationSequence:
         return float(self.timestamps[-1] - self.timestamps[0])
 
 
+def event_time_fault(value) -> str | None:
+    """Why value cannot be an observed event time, or None when it can."""
+    t = float(value)
+    if np.isfinite(t) and t > 0:
+        return None
+    return f"event_time must be a positive finite number, got {value}"
+
+
 @dataclass(frozen=True)
 class SurvivalLabel:
     """Observed time for a record; censored means the event was not yet seen."""
@@ -108,68 +158,181 @@ class SurvivalLabel:
     censored: bool = False
 
     def __post_init__(self):
-        t = float(self.event_time)
-        if not np.isfinite(t) or t <= 0:
-            raise ValidationError(f"event_time must be a positive finite number, got {self.event_time}")
-        object.__setattr__(self, "event_time", t)
+        fault = event_time_fault(self.event_time)
+        if fault:
+            raise ValidationError(fault)
+        object.__setattr__(self, "event_time", float(self.event_time))
         object.__setattr__(self, "censored", bool(self.censored))
 
 
-@dataclass
+def _trusted(cls, **fields):
+    """A frozen record of type cls from values already validated as columns."""
+    record = object.__new__(cls)
+    record.__dict__.update(fields)
+    return record
+
+
+def gather_rows(offsets, indices):
+    """Offsets and row indices that lay out the records at indices, in that
+    order, from columns in which record i owns rows offsets[i]:offsets[i + 1]."""
+    counts = np.diff(offsets)[indices]
+    new = np.concatenate(([0], np.cumsum(counts)))
+    return new, np.arange(new[-1]) + np.repeat(offsets[indices] - new[:-1], counts)
+
+
 class SurvivalDataset:
-    """A list of records with optional aligned survival labels."""
+    """Records with optional aligned survival labels, stored as flat columns.
 
-    sequences: list[ObservationSequence]
-    labels: list[SurvivalLabel] | None = None
+    Record i owns rows offsets[i]:offsets[i + 1] of rows (its observation
+    vectors), timestamps and gaps (stay times, as _check_records defines
+    them); has_durations[i] says whether its stay times came as durations.
+    demographics is (N, G), G possibly 0; record_ids is an object array.
+    SurvivalDataset(sequences, labels) packs per-record objects once; the
+    reader, the generator and subset build from columns; all validate the
+    same way.
+    """
 
-    def __post_init__(self):
-        if not self.sequences:
+    def __init__(self, sequences, labels=None):
+        sequences = list(sequences)
+        if not sequences:
             raise ValidationError("dataset has no records")
-        d = self.sequences[0].n_features
-        for i, seq in enumerate(self.sequences):
+        d = sequences[0].n_features
+        for i, seq in enumerate(sequences):
             if seq.n_features != d:
-                raise ValidationError(
-                    f"record {i} has {seq.n_features} features, expected {d}"
-                )
-        dem_dims = {0 if s.demographics is None else s.demographics.shape[0] for s in self.sequences}
+                raise ValidationError(f"record {i} has {seq.n_features} features, expected {d}")
+        dem_dims = {0 if s.demographics is None else s.demographics.shape[0] for s in sequences}
         if len(dem_dims) > 1:
             raise ValidationError("records disagree on demographics dimension")
-        if self.labels is not None and len(self.labels) != len(self.sequences):
-            raise ValidationError(
-                f"{len(self.labels)} labels for {len(self.sequences)} records"
-            )
+        self._set_columns(
+            rows=np.concatenate([s.observations for s in sequences]),
+            timestamps=np.concatenate([s.timestamps for s in sequences]),
+            offsets=np.cumsum([0] + [s.n_observations for s in sequences]),
+            record_ids=[s.record_id for s in sequences],
+            durations=np.concatenate([s.gaps() for s in sequences]),
+            has_durations=[s.durations is not None for s in sequences],
+            demographics=None if dem_dims == {0} else np.array([s.demographics for s in sequences]),
+            event_times=None if labels is None else [lab.event_time for lab in labels],
+            censored=None if labels is None else [lab.censored for lab in labels],
+        )
+
+    @classmethod
+    def _from_columns(cls, **columns) -> "SurvivalDataset":
+        data = cls.__new__(cls)
+        data._set_columns(**columns)
+        return data
+
+    def _set_columns(self, rows, timestamps, offsets, record_ids, durations=None,
+                     has_durations=None, demographics=None, event_times=None,
+                     censored=None):
+        """Validate and store the columns.  durations holds the stay times of
+        the records flagged in has_durations (all of them by default), and is
+        ignored elsewhere; censored defaults to all False."""
+        offsets = np.asarray(offsets, dtype=np.int64)
+        n = len(offsets) - 1
+        if n < 1:
+            raise ValidationError("dataset has no records")
+        record_ids = np.array(record_ids, dtype=object)
+        rows = np.ascontiguousarray(rows, dtype=float)
+        timestamps = np.ascontiguousarray(timestamps, dtype=float)
+        if durations is None:
+            has_durations = np.zeros(n, dtype=bool)
+        elif has_durations is None:
+            has_durations = np.ones(n, dtype=bool)
+        has_durations = np.asarray(has_durations, dtype=bool)
+        if demographics is None:
+            demographics = np.empty((n, 0))
+        demographics = np.ascontiguousarray(demographics, dtype=float)
+        gaps, fault = _check_records(rows, timestamps, offsets, durations, has_durations,
+                                     demographics)
+        if fault:
+            raise ValidationError(f"record {record_ids[fault[0]]!r}: {fault[1]}")
+        if event_times is not None:
+            event_times = np.asarray(event_times, dtype=float)
+            if len(event_times) != n:
+                raise ValidationError(f"{len(event_times)} labels for {n} records")
+            bad = np.flatnonzero(~(np.isfinite(event_times) & (event_times > 0)))
+            if bad.size:
+                raise ValidationError(event_time_fault(event_times[bad[0]]))
+            censored = np.zeros(n, dtype=bool) if censored is None else np.asarray(
+                censored, dtype=bool)
+            if censored.shape != event_times.shape:
+                raise ValidationError("times and censoring flags disagree on length")
+        self.rows, self.timestamps, self.gaps, self.offsets = rows, timestamps, gaps, offsets
+        self.has_durations, self.demographics = has_durations, demographics
+        self.record_ids = record_ids
+        self._event_times, self._censored = event_times, censored
+
+    def _with_labels(self, event_times, censored=None) -> "SurvivalDataset":
+        """The same records under new labels."""
+        return SurvivalDataset._from_columns(
+            rows=self.rows, timestamps=self.timestamps, offsets=self.offsets,
+            record_ids=self.record_ids, durations=self.gaps, has_durations=self.has_durations,
+            demographics=self.demographics, event_times=event_times, censored=censored)
 
     def __len__(self) -> int:
-        return len(self.sequences)
+        return len(self.offsets) - 1
 
     @property
     def n_features(self) -> int:
-        return self.sequences[0].n_features
+        return self.rows.shape[1]
 
     @property
     def n_demographics(self) -> int:
-        dem = self.sequences[0].demographics
-        return 0 if dem is None else dem.shape[0]
+        return self.demographics.shape[1]
+
+    @cached_property
+    def sequences(self) -> list[ObservationSequence]:
+        """The records as ObservationSequence objects over views of the
+        columns, built on first access without validating them again."""
+        bounds = zip(self.offsets[:-1].tolist(), self.offsets[1:].tolist())
+        dems = self.demographics if self.n_demographics else [None] * len(self)
+        return [
+            _trusted(ObservationSequence, observations=self.rows[a:b],
+                     timestamps=self.timestamps[a:b],
+                     durations=self.gaps[a:b] if given else None,
+                     demographics=dem, record_id=rid)
+            for (a, b), given, dem, rid in zip(bounds, self.has_durations.tolist(), dems,
+                                               self.record_ids.tolist())
+        ]
+
+    @cached_property
+    def labels(self) -> list[SurvivalLabel] | None:
+        """The labels as SurvivalLabel objects, built on first access."""
+        if self._event_times is None:
+            return None
+        return [_trusted(SurvivalLabel, event_time=t, censored=c)
+                for t, c in zip(self._event_times.tolist(), self._censored.tolist())]
+
+    def _label_columns(self):
+        if self._event_times is None:
+            raise ValidationError("this operation needs labels, but the dataset has none")
+        return self._event_times, self._censored
 
     def require_labels(self) -> list[SurvivalLabel]:
-        if self.labels is None:
-            raise ValidationError("this operation needs labels, but the dataset has none")
+        self._label_columns()
         return self.labels
 
     def event_times(self) -> np.ndarray:
-        return np.array([lab.event_time for lab in self.require_labels()])
+        return self._label_columns()[0].copy()
 
     def censor_mask(self) -> np.ndarray:
-        return np.array([lab.censored for lab in self.require_labels()], dtype=bool)
+        return self._label_columns()[1].copy()
 
     def periods(self) -> np.ndarray:
-        return np.array([seq.period() for seq in self.sequences])
+        """Span between each record's first and last observation time."""
+        return self.timestamps[self.offsets[1:] - 1] - self.timestamps[self.offsets[:-1]]
 
     def subset(self, indices) -> "SurvivalDataset":
         indices = np.asarray(indices, dtype=int)
-        seqs = [self.sequences[i] for i in indices]
-        labs = None if self.labels is None else [self.labels[i] for i in indices]
-        return SurvivalDataset(seqs, labs)
+        offsets, rows = gather_rows(self.offsets, indices)
+        labeled = self._event_times is not None
+        return SurvivalDataset._from_columns(
+            rows=self.rows[rows], timestamps=self.timestamps[rows], offsets=offsets,
+            record_ids=self.record_ids[indices], durations=self.gaps[rows],
+            has_durations=self.has_durations[indices], demographics=self.demographics[indices],
+            event_times=self._event_times[indices] if labeled else None,
+            censored=self._censored[indices] if labeled else None,
+        )
 
 
 def as_dataset(X, y=None) -> SurvivalDataset:
@@ -188,16 +351,10 @@ def as_dataset(X, y=None) -> SurvivalDataset:
         if not isinstance(seq, ObservationSequence):
             raise ValidationError(f"X[{i}] is not an ObservationSequence")
     if y is None:
-        return SurvivalDataset(sequences, None)
+        return SurvivalDataset(sequences)
+    censored = None
     if isinstance(y, tuple) and len(y) == 2:
-        times = as_float_array(y[0], "event times", 1)
-        censored = np.asarray(y[1], dtype=bool)
-        if censored.shape != times.shape:
-            raise ValidationError("times and censoring flags disagree on length")
-        labels = [SurvivalLabel(t, c) for t, c in zip(times, censored)]
+        y, censored = y
     elif len(y) and isinstance(y[0], SurvivalLabel):
-        labels = list(y)
-    else:
-        times = as_float_array(y, "event times", 1)
-        labels = [SurvivalLabel(t) for t in times]
-    return SurvivalDataset(sequences, labels)
+        return SurvivalDataset(sequences, y)
+    return SurvivalDataset(sequences)._with_labels(as_float_array(y, "event times", 1), censored)

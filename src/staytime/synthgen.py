@@ -17,7 +17,7 @@ import numpy as np
 
 from .errors import ConfigurationError
 from .representation import compute_ctr_batch
-from .sequences import ObservationSequence, SurvivalDataset, SurvivalLabel
+from .sequences import SurvivalDataset
 from .states import DiscreteStateFunction, SegmentGrid, build_grid
 
 WEIGHT_PROFILES = ("coordinate", "index")
@@ -113,20 +113,30 @@ def generate(config: SynthConfig) -> SynthDataset:
     w = lattice_weights(grid, config.weight_width, config.weight_profile)
     noise_scale = float(np.sqrt(config.noise_variance))
 
-    streams = np.random.SeedSequence(config.seed).spawn(config.n_records)
-    sequences, labels, noise_free = [], [], np.empty(config.n_records)
+    n, m = config.n_records, config.n_obs
+    rows = np.empty((n * m, config.n_dims))
+    durations, timestamps = np.empty(n * m), np.empty(n * m)
+    offsets = np.arange(0, n * m + 1, m)
+    record_ids = [f"r{i:06d}" for i in range(n)]
+    times, noise_free = np.empty(n), np.empty(n)
+    streams = np.random.SeedSequence(config.seed).spawn(n)
     # records go in blocks: one packed kernel call per block gives the clean
     # targets, and only one block's generators are alive at a time
-    for lo in range(0, config.n_records, BLOCK_RECORDS):
-        rngs = [np.random.default_rng(s) for s in streams[lo:lo + BLOCK_RECORDS]]
-        block = []
+    for lo in range(0, n, BLOCK_RECORDS):
+        hi = min(lo + BLOCK_RECORDS, n)
+        rngs = [np.random.default_rng(s) for s in streams[lo:hi]]
         for i, rng in enumerate(rngs, start=lo):
-            obs = rng.uniform(-1.0, 1.0, size=(config.n_obs, config.n_dims))
-            dur = rng.uniform(0.0, 1.0, size=config.n_obs)
+            rows[i * m : (i + 1) * m] = rng.uniform(-1.0, 1.0, size=(m, config.n_dims))
+            dur = rng.uniform(0.0, 1.0, size=m)
             while np.any(dur == 0.0):  # stay times must be strictly positive
                 dur[dur == 0.0] = rng.uniform(0.0, 1.0, size=int((dur == 0.0).sum()))
-            block.append(ObservationSequence(obs, durations=dur, record_id=f"r{i:06d}"))
-        for i, (rng, z) in enumerate(zip(rngs, compute_ctr_batch(block, state)), start=lo):
+            durations[i * m : (i + 1) * m] = dur
+        block = slice(lo * m, hi * m)
+        timestamps[block] = np.cumsum(durations[block].reshape(-1, m), axis=1).ravel()
+        records = SurvivalDataset._from_columns(
+            rows=rows[block], timestamps=timestamps[block], offsets=offsets[lo : hi + 1] - lo * m,
+            record_ids=record_ids[lo:hi], durations=durations[block])
+        for i, (rng, z) in enumerate(zip(rngs, compute_ctr_batch(records, state)), start=lo):
             # each record's stream continues where its observations left off
             target = float(w @ z)
             y = target + noise_scale * rng.standard_normal()
@@ -134,11 +144,12 @@ def generate(config: SynthConfig) -> SynthDataset:
             # draw against a small clean target is redrawn from the same stream
             while y <= 0:
                 y = target + noise_scale * rng.standard_normal()
-            labels.append(SurvivalLabel(y, censored=False))
+            times[i] = y
             noise_free[i] = target
-        sequences += block
     return SynthDataset(
-        dataset=SurvivalDataset(sequences, labels),
+        dataset=SurvivalDataset._from_columns(
+            rows=rows, timestamps=timestamps, offsets=offsets, record_ids=record_ids,
+            durations=durations, event_times=times),
         grid=grid,
         weights=w,
         noise_free=noise_free,

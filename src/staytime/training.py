@@ -21,9 +21,8 @@ from .errors import (
     ValidationError,
 )
 from .nn import AdamState, Mlp, adam_step, grad_check, log_sigmoid
-from .representation import (DecayParameter, PackedRecords, segment_ctr, sigmoid,
-                             stay_time_matrix, stay_times)
-from .sequences import SurvivalDataset
+from .representation import DecayParameter, PackedRecords, segment_ctr, sigmoid, stay_time_matrix
+from .sequences import SurvivalDataset, as_dataset
 from .states import (
     DiscreteStateFunction,
     KernelBasisSet,
@@ -110,16 +109,21 @@ def static_features(seq) -> np.ndarray:
     Each column yields mean, population std, and the {0.1, 0.25, 0.5, 0.75,
     0.9} quantiles (linear interpolation), giving 7 * (D + 1) features.
     """
-    cols = np.column_stack([seq.observations, stay_times(seq, 1.0)])
-    feats = np.empty((cols.shape[1], 2 + len(STATIC_QUANTILES)))
-    feats[:, 0] = cols.mean(axis=0)
-    feats[:, 1] = cols.std(axis=0)
-    feats[:, 2:] = np.quantile(cols, STATIC_QUANTILES, axis=0).T
-    return feats.ravel()
+    return static_features_batch([seq])[0]
 
 
-def static_features_batch(sequences) -> np.ndarray:
-    return np.stack([static_features(s) for s in sequences])
+def static_features_batch(records) -> np.ndarray:
+    """static_features of every record (a SurvivalDataset or
+    ObservationSequence objects), one row each."""
+    data = as_dataset(records)
+    pooled = np.column_stack([data.rows, data.gaps])
+    feats = np.empty((len(data), pooled.shape[1], 2 + len(STATIC_QUANTILES)))
+    for i, (a, b) in enumerate(zip(data.offsets[:-1], data.offsets[1:])):
+        cols = pooled[a:b]
+        feats[i, :, 0] = cols.mean(axis=0)
+        feats[i, :, 1] = cols.std(axis=0)
+        feats[i, :, 2:] = np.quantile(cols, STATIC_QUANTILES, axis=0).T
+    return feats.reshape(len(data), -1)
 
 
 @dataclass
@@ -246,27 +250,27 @@ class TrainedModel:
     best_val_score: float
     pairless_batches: int = 0
 
-    def _demographics(self, sequences) -> np.ndarray | None:
-        if sequences[0].demographics is None:
+    def _demographics(self, data: SurvivalDataset) -> np.ndarray | None:
+        if not data.n_demographics:
             return None
-        dem = np.stack([s.demographics for s in sequences])
+        dem = data.demographics
         if self.dem_standardizer is not None:
             dem = self.dem_standardizer.transform(dem)
         return dem
 
     def features(self, X) -> np.ndarray:
         """The matrix fed to the predictor for the given records."""
-        sequences = X.sequences if isinstance(X, SurvivalDataset) else list(X)
+        data = as_dataset(X)
         if self.config.model == "static":
-            feats = static_features_batch(sequences)
+            feats = static_features_batch(data)
             if self.static_standardizer is not None:
                 feats = self.static_standardizer.transform(feats)
             return feats
-        packed = PackedRecords.pack(sequences)
+        packed = PackedRecords.pack(data)
         if self.obs_standardizer is not None:
             packed.rows = self.obs_standardizer.transform(packed.rows)
         return _ctr_features(packed, self.state, self.decay.value,
-                             self.config.normalize_ctr, self._demographics(sequences))
+                             self.config.normalize_ctr, self._demographics(data))
 
     def predict(self, X) -> np.ndarray:
         """Predicted event time for each record (eval mode, deterministic)."""
@@ -434,7 +438,6 @@ class _Components:
 def _build_components(dataset: SurvivalDataset, config: TrainConfig) -> _Components:
     """Split the data, fit preprocessing on the training side only, and build
     the state function and networks for one model."""
-    dataset.require_labels()
     times = dataset.event_times()
     censored = dataset.censor_mask()
     n = len(dataset)
@@ -452,7 +455,7 @@ def _build_components(dataset: SurvivalDataset, config: TrainConfig) -> _Compone
     obs_std = dem_std = static_std = None
     train_packed = val_packed = None
     if config.model != "static":
-        packed = PackedRecords.pack(dataset.sequences)
+        packed = PackedRecords.pack(dataset)
         if standardize:
             obs_std = Standardizer.fit(packed.take(train_idx).rows)
             packed.rows = obs_std.transform(packed.rows)
@@ -460,7 +463,7 @@ def _build_components(dataset: SurvivalDataset, config: TrainConfig) -> _Compone
 
     dem = None
     if dataset.n_demographics:
-        dem_all = np.stack([s.demographics for s in dataset.sequences])
+        dem_all = dataset.demographics
         if standardize:
             dem_std = Standardizer.fit(dem_all[train_idx], skip_binary=True)
             dem_all = dem_std.transform(dem_all)
@@ -472,7 +475,7 @@ def _build_components(dataset: SurvivalDataset, config: TrainConfig) -> _Compone
     feats_all = None
     clamp = False
     if config.model == "static":
-        feats_all = static_features_batch(dataset.sequences)
+        feats_all = static_features_batch(dataset)
         if standardize:
             static_std = Standardizer.fit(feats_all[train_idx])
             feats_all = static_std.transform(feats_all)

@@ -104,6 +104,29 @@ class TestConfigFile:
         assert code == 1
         assert last_json(stderr)["error"] == "ConfigurationError"
 
+    @pytest.mark.parametrize("command, content, key", [
+        ("generate", 5, None),
+        ("generate", [1], None),
+        ("generate", {"seed": "abc"}, "seed"),
+        ("generate", {"seed": 0, "n_records": "many"}, "n_records"),
+        ("train", {"model": "ctr-d", "seed": 0, "epochs": "ten"}, "epochs"),
+    ])
+    def test_config_of_wrong_shape_or_type_rejected(self, tmp_path, capsys, data_dir,
+                                                    command, content, key):
+        cfg = tmp_path / "bad.json"
+        cfg.write_text(json.dumps(content))
+        argv = ["--config", str(cfg), "--out", str(tmp_path / "o")]
+        if command == "train":
+            argv += ["--data", str(data_dir)]
+        code, _, stderr = run(capsys, command, *argv)
+        assert code == 1
+        assert "Traceback" not in stderr
+        err = last_json(stderr)
+        assert err["error"] == "ConfigurationError"
+        assert "bad.json" in err["message"]
+        if key is not None:
+            assert repr(key) in err["message"]
+
 
 class TestFeaturize:
     def test_grid_features_match_library(self, tmp_path, capsys, data_dir):
@@ -139,6 +162,15 @@ class TestFeaturize:
                               "--n-bases", "20", "--gamma", "2.0", "--seed", "4")
         assert code == 0
         assert last_json(stdout)["n_states"] == 20
+
+    @pytest.mark.parametrize("flag", ["--segments", "--gamma", "--n-bases"])
+    def test_zero_is_passed_on_and_rejected(self, tmp_path, capsys, data_dir, flag):
+        kind = "grid" if flag == "--segments" else "kernel"
+        code, _, stderr = run(capsys, "featurize", "--data", str(data_dir), "--kind", kind,
+                              "--out", str(tmp_path / "f"), flag, "0")
+        assert code == 1
+        assert len(stderr.splitlines()) == 1
+        assert last_json(stderr)["error"] == "ConfigurationError"
 
     def test_bad_decay_rejected(self, tmp_path, capsys, data_dir):
         code, _, stderr = run(capsys, "featurize", "--data", str(data_dir),
@@ -298,6 +330,25 @@ class TestCorruptFiles:
             lines = stderr.splitlines()
             assert len(lines) == 1, stderr
             assert "Traceback" not in stderr
+            assert json.loads(lines[0])["error"] == "ValidationError"
+
+    def test_seeded_observation_corruption(self, tmp_path, capsys, data_dir):
+        """A cut at a row end may leave a valid, shorter file; any other
+        corruption exits 1 with one ValidationError line."""
+        path = data_dir / "observations.csv"
+        argv = ("featurize", "--data", str(data_dir), "--out", str(tmp_path / "f"))
+        original = path.read_bytes()
+        rng = np.random.default_rng(3)
+        for _ in range(24):
+            path.write_bytes(corrupt(original, rng))
+            code, _, stderr = run(capsys, *argv)
+            assert "Traceback" not in stderr
+            if code == 0:
+                assert stderr == ""
+                continue
+            assert code == 1
+            lines = stderr.splitlines()
+            assert len(lines) == 1, stderr
             assert json.loads(lines[0])["error"] == "ValidationError"
 
     def test_manifest_missing_key_names_the_file(self, capsys, data_dir):

@@ -1,5 +1,7 @@
 """Dataset files: round trips, validation messages, forward fill, truth sidecar."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -85,6 +87,71 @@ class TestRoundTrip:
         write_dataset(build_dataset(), tmp_path)
         leftovers = [p for p in tmp_path.iterdir() if ".tmp" in p.name]
         assert leftovers == []
+
+    def test_interleaved_observation_rows_read_back_by_record(self, tmp_path):
+        data = build_dataset(with_demographics=True)
+        write_dataset(data, tmp_path)
+        obs = tmp_path / "observations.csv"
+        header, *rows = obs.read_text().splitlines()
+        # deal the rows out round-robin: every record's rows end up separated
+        # by other records' rows, each record's own rows still in time order
+        position = {}
+        keyed = []
+        for row in rows:
+            rid = row.split(",")[0]
+            position[rid] = position.get(rid, -1) + 1
+            keyed.append((position[rid], rid, row))
+        interleaved = [row for _, _, row in sorted(keyed)]
+        assert interleaved != rows
+        obs.write_text("\n".join([header, *interleaved]) + "\n")
+        assert_datasets_equal(data, read_dataset(tmp_path))
+
+    def test_records_with_and_without_durations_round_trip(self, tmp_path):
+        timed = build_dataset(with_durations=False)
+        overridden = build_dataset(with_durations=True)
+        seqs = [timed.sequences[0], overridden.sequences[1], timed.sequences[2],
+                overridden.sequences[3]]
+        mixed = SurvivalDataset(seqs, overridden.labels[:4])
+        assert mixed.has_durations.tolist() == [False, True, False, True]
+        np.testing.assert_array_equal(
+            mixed.gaps, np.concatenate([s.gaps() for s in seqs]))
+        write_dataset(mixed, tmp_path)
+        # durations are written only when every record has them; the
+        # timestamps, observations and labels come back exactly
+        assert "duration" not in (tmp_path / "observations.csv").read_text().splitlines()[0]
+        back = read_dataset(tmp_path)
+        assert not back.has_durations.any()
+        for a, b in zip(mixed.sequences, back.sequences):
+            assert a.record_id == b.record_id
+            np.testing.assert_array_equal(a.observations, b.observations)
+            np.testing.assert_array_equal(a.timestamps, b.timestamps)
+        np.testing.assert_array_equal(mixed.event_times(), back.event_times())
+        np.testing.assert_array_equal(mixed.censor_mask(), back.censor_mask())
+
+
+class TestMemory:
+    """Reading and writing a cohort stay within fixed tracemalloc peaks.
+    Measured on a 5000-record generate cohort: the per-record reader and
+    writer peaked at 39.5 and 30.8 MiB, the columnar ones at 6.6 and 17.6."""
+
+    READ_PEAK_MIB = 20.0
+    WRITE_PEAK_MIB = 24.0
+
+    @staticmethod
+    def peak_mib(fn):
+        tracemalloc.start()
+        try:
+            fn()
+            return tracemalloc.get_traced_memory()[1] / 2**20
+        finally:
+            tracemalloc.stop()
+
+    def test_read_and_write_peaks(self, tmp_path):
+        data = generate(SynthConfig(seed=0, n_records=5000)).dataset
+        write = self.peak_mib(lambda: write_dataset(data, tmp_path))
+        read = self.peak_mib(lambda: read_dataset(tmp_path))
+        assert write < self.WRITE_PEAK_MIB, f"write_dataset peaked at {write:.1f} MiB"
+        assert read < self.READ_PEAK_MIB, f"read_dataset peaked at {read:.1f} MiB"
 
 
 class TestValidation:
@@ -186,6 +253,23 @@ class TestForwardFill:
         self.make_gappy(tmp_path)
         with pytest.raises(ValidationError, match="forward fill is off"):
             read_dataset(tmp_path)
+
+    def test_fill_comes_from_the_same_record_when_rows_interleave(self, tmp_path):
+        seqs = [ObservationSequence(np.arange(6.0).reshape(3, 2) + 10 * k,
+                                    durations=[1.0, 1.0, 1.0], record_id=f"k{k}")
+                for k in range(2)]
+        write_dataset(SurvivalDataset(seqs, [SurvivalLabel(2.0), SurvivalLabel(3.0)]), tmp_path)
+        obs = tmp_path / "observations.csv"
+        header, *rows = obs.read_text().splitlines()
+        rows = [rows[0], rows[3], rows[1], rows[4], rows[2], rows[5]]  # k0, k1, k0, ...
+        for at, column in ((3, 3), (4, 2)):  # blank k1's second x1 and k0's third x0
+            parts = rows[at].split(",")
+            parts[column] = ""
+            rows[at] = ",".join(parts)
+        obs.write_text("\n".join([header, *rows]) + "\n")
+        k0, k1 = read_dataset(tmp_path, forward_fill=True).sequences
+        np.testing.assert_array_equal(k0.observations, [[0, 1], [2, 3], [2, 5]])
+        np.testing.assert_array_equal(k1.observations, [[10, 11], [12, 11], [14, 15]])
 
     def test_leading_gap_cannot_be_filled(self, tmp_path):
         self.make_gappy(tmp_path, blank_first=True)

@@ -16,7 +16,21 @@ from staytime import (
     build_grid,
     sample_bases,
 )
-from staytime.states import discrete_state, kernel_state, neural_state
+
+
+def discrete_state(x, grid: SegmentGrid, clamp: bool = False) -> np.ndarray:
+    """One-hot weight vector for a single observation."""
+    return grid.one_hot(np.asarray(x, dtype=float)[None, :], clamp=clamp)[0]
+
+
+def kernel_state(x, basis: KernelBasisSet) -> np.ndarray:
+    """Normalized kernel weight vector for a single observation."""
+    return basis.weights(np.asarray(x, dtype=float)[None, :])[0]
+
+
+def neural_state(x, net) -> np.ndarray:
+    """Softmax state vector for a single observation."""
+    return NeuralStateFunction(net).weights_matrix(np.asarray(x, dtype=float)[None, :])[0]
 
 
 class TestSegmentGrid:
