@@ -67,7 +67,7 @@ def write_dataset(dataset: SurvivalDataset, directory,
     times, censored = dataset.event_times(), dataset.censor_mask()
     d = dataset.n_features
     feature_cols = [f"x{j}" for j in range(d)]
-    has_durations = bool(dataset.has_durations.all())
+    has_durations = bool(dataset.has_durations.any())  # then written for every record
     n_dem = dataset.n_demographics
     dem_cols = [f"g{j}" for j in range(n_dem)]
 

@@ -63,11 +63,7 @@ def _as_labeled_dataset(X, y=None, censored=None) -> SurvivalDataset:
         return X
     if y is None:
         raise ValidationError("y (event times) is required when X carries no labels")
-    if censored is None:
-        censored = np.zeros(len(y), dtype=bool)
-    if isinstance(X, SurvivalDataset):
-        return X._with_labels(as_float_array(y, "event times", 1), censored)
-    return as_dataset(X, (y, censored))
+    return as_dataset(X)._with_labels(as_float_array(y, "event times", 1), censored)
 
 
 class CtrFeaturizer(ParamsMixin):

@@ -10,28 +10,36 @@ and builds the per-record forms back only on request.
 
 from __future__ import annotations
 
+import copy
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
 from .errors import ValidationError
 
 
-def as_float_array(values, name: str, ndim: int) -> np.ndarray:
-    """Convert to a float64 array of the given rank, rejecting non-finite entries."""
+def _shaped(values, name: str, ndim: int, length: int | None = None) -> np.ndarray:
+    """values as a float64 array of the given rank and, if given, length."""
     arr = np.asarray(values, dtype=float)
     if arr.ndim != ndim:
         raise ValidationError(f"{name} must have {ndim} dimension(s), got shape {arr.shape}")
+    if length is not None and arr.shape[0] != length:
+        raise ValidationError(f"{name} has length {arr.shape[0]}, expected {length}")
+    return arr
+
+
+def as_float_array(values, name: str, ndim: int) -> np.ndarray:
+    """Convert to a float64 array of the given rank, rejecting non-finite entries."""
+    arr = _shaped(values, name, ndim)
     if arr.size and not np.all(np.isfinite(arr)):
         raise ValidationError(f"{name} contains non-finite entries")
     return arr
 
 
 def _check_records(rows, timestamps, offsets, durations, has_durations, demographics):
-    """ObservationSequence's rules on values, applied to every record of a
-    column layout at once.  Returns the stay time of every row, and the first
-    record that breaks a rule, with the rule (None if none does).
+    """The rules on a record's values, applied to every record of a column
+    layout at once.  Returns the stay time of every row, and the first record
+    that breaks a rule, with the first rule it breaks (None if none does).
 
     A row's stay time is its durations entry when has_durations flags its
     record, otherwise the gap to the previous timestamp (time zero before
@@ -48,7 +56,6 @@ def _check_records(rows, timestamps, offsets, durations, has_durations, demograp
     def in_record(row_mask):
         return np.logical_or.reduceat(row_mask, first)
 
-    # in the order ObservationSequence applies them
     rules = (
         ("observations contains non-finite entries", in_record(~np.isfinite(rows).all(axis=1))),
         ("durations contains non-finite entries", in_record(given & ~np.isfinite(gaps))),
@@ -86,41 +93,23 @@ class ObservationSequence:
     record_id: str = ""
 
     def __post_init__(self):
-        obs = as_float_array(self.observations, "observations", 2)
-        if obs.shape[0] < 1:
-            raise ValidationError("a record needs at least one observation")
-        object.__setattr__(self, "observations", obs)
+        obs = _shaped(self.observations, "observations", 2)
         m = obs.shape[0]
-
-        dur = self.durations
-        if dur is not None:
-            dur = as_float_array(dur, "durations", 1)
-            if dur.shape[0] != m:
-                raise ValidationError(f"durations has length {dur.shape[0]}, expected {m}")
-            if np.any(dur <= 0):
-                raise ValidationError("durations must all be positive")
-            object.__setattr__(self, "durations", dur)
-
-        ts = self.timestamps
-        if ts is None:
-            if dur is None:
-                raise ValidationError("timestamps are required when no durations are given")
-            ts = np.cumsum(dur)
-        else:
-            ts = as_float_array(ts, "timestamps", 1)
-            if ts.shape[0] != m:
-                raise ValidationError(f"timestamps has length {ts.shape[0]}, expected {m}")
-            if np.any(ts < 0):
-                raise ValidationError("timestamps must be nonnegative")
-            if m > 1 and np.any(np.diff(ts) <= 0):
-                raise ValidationError("timestamps must be strictly increasing")
-            if dur is None and ts[0] <= 0:
-                raise ValidationError("first timestamp must be positive (stay times must be positive)")
-        object.__setattr__(self, "timestamps", ts)
-
-        dem = self.demographics
-        if dem is not None:
-            object.__setattr__(self, "demographics", as_float_array(dem, "demographics", 1))
+        if m < 1:
+            raise ValidationError("a record needs at least one observation")
+        if self.timestamps is None and self.durations is None:
+            raise ValidationError("timestamps are required when no durations are given")
+        dur = None if self.durations is None else _shaped(self.durations, "durations", 1, m)
+        ts = np.cumsum(dur) if self.timestamps is None else self.timestamps
+        ts = _shaped(ts, "timestamps", 1, m)
+        dem = None if self.demographics is None else _shaped(self.demographics, "demographics", 1)
+        _, fault = _check_records(obs, ts, np.array([0, m]), dur, np.array([dur is not None]),
+                                  np.empty((1, 0)) if dem is None else dem[None])
+        if fault:
+            raise ValidationError(fault[1])
+        for name, value in (("observations", obs), ("timestamps", ts), ("durations", dur),
+                            ("demographics", dem)):
+            object.__setattr__(self, name, value)
 
     @property
     def n_observations(self) -> int:
@@ -142,12 +131,16 @@ class ObservationSequence:
         return float(self.timestamps[-1] - self.timestamps[0])
 
 
+def _bad_event_times(times):
+    """Where times cannot be observed event times."""
+    return ~(np.isfinite(times) & (times > 0))
+
+
 def event_time_fault(value) -> str | None:
     """Why value cannot be an observed event time, or None when it can."""
-    t = float(value)
-    if np.isfinite(t) and t > 0:
-        return None
-    return f"event_time must be a positive finite number, got {value}"
+    if _bad_event_times(float(value)):
+        return f"event_time must be a positive finite number, got {value}"
+    return None
 
 
 @dataclass(frozen=True)
@@ -203,7 +196,7 @@ class SurvivalDataset:
         dem_dims = {0 if s.demographics is None else s.demographics.shape[0] for s in sequences}
         if len(dem_dims) > 1:
             raise ValidationError("records disagree on demographics dimension")
-        self._set_columns(
+        self._set_records(
             rows=np.concatenate([s.observations for s in sequences]),
             timestamps=np.concatenate([s.timestamps for s in sequences]),
             offsets=np.cumsum([0] + [s.n_observations for s in sequences]),
@@ -211,22 +204,22 @@ class SurvivalDataset:
             durations=np.concatenate([s.gaps() for s in sequences]),
             has_durations=[s.durations is not None for s in sequences],
             demographics=None if dem_dims == {0} else np.array([s.demographics for s in sequences]),
-            event_times=None if labels is None else [lab.event_time for lab in labels],
-            censored=None if labels is None else [lab.censored for lab in labels],
         )
+        self._set_labels(None if labels is None else [lab.event_time for lab in labels],
+                         None if labels is None else [lab.censored for lab in labels])
 
     @classmethod
-    def _from_columns(cls, **columns) -> "SurvivalDataset":
+    def _from_columns(cls, event_times=None, censored=None, **records) -> "SurvivalDataset":
         data = cls.__new__(cls)
-        data._set_columns(**columns)
+        data._set_records(**records)
+        data._set_labels(event_times, censored)
         return data
 
-    def _set_columns(self, rows, timestamps, offsets, record_ids, durations=None,
-                     has_durations=None, demographics=None, event_times=None,
-                     censored=None):
-        """Validate and store the columns.  durations holds the stay times of
-        the records flagged in has_durations (all of them by default), and is
-        ignored elsewhere; censored defaults to all False."""
+    def _set_records(self, rows, timestamps, offsets, record_ids, durations=None,
+                     has_durations=None, demographics=None):
+        """Validate and store the record columns.  durations holds the stay
+        times of the records flagged in has_durations (all of them by
+        default), and is ignored elsewhere."""
         offsets = np.asarray(offsets, dtype=np.int64)
         n = len(offsets) - 1
         if n < 1:
@@ -246,28 +239,34 @@ class SurvivalDataset:
                                      demographics)
         if fault:
             raise ValidationError(f"record {record_ids[fault[0]]!r}: {fault[1]}")
-        if event_times is not None:
-            event_times = np.asarray(event_times, dtype=float)
-            if len(event_times) != n:
-                raise ValidationError(f"{len(event_times)} labels for {n} records")
-            bad = np.flatnonzero(~(np.isfinite(event_times) & (event_times > 0)))
-            if bad.size:
-                raise ValidationError(event_time_fault(event_times[bad[0]]))
-            censored = np.zeros(n, dtype=bool) if censored is None else np.asarray(
-                censored, dtype=bool)
-            if censored.shape != event_times.shape:
-                raise ValidationError("times and censoring flags disagree on length")
         self.rows, self.timestamps, self.gaps, self.offsets = rows, timestamps, gaps, offsets
         self.has_durations, self.demographics = has_durations, demographics
         self.record_ids = record_ids
+        self._sequences = None
+
+    def _set_labels(self, event_times, censored=None):
+        """Validate and store the label columns (none when event_times is
+        None); censored defaults to all False."""
+        self._event_times = self._censored = self._labels = None
+        if event_times is None:
+            return
+        event_times = np.asarray(event_times, dtype=float)
+        censored = np.zeros(len(event_times), dtype=bool) if censored is None else np.asarray(
+            censored, dtype=bool)
+        if censored.shape != event_times.shape:
+            raise ValidationError("times and censoring flags disagree on length")
+        bad = np.flatnonzero(_bad_event_times(event_times))
+        if bad.size:
+            raise ValidationError(event_time_fault(event_times[bad[0]]))
+        if len(event_times) != len(self):
+            raise ValidationError(f"{len(event_times)} labels for {len(self)} records")
         self._event_times, self._censored = event_times, censored
 
     def _with_labels(self, event_times, censored=None) -> "SurvivalDataset":
-        """The same records under new labels."""
-        return SurvivalDataset._from_columns(
-            rows=self.rows, timestamps=self.timestamps, offsets=self.offsets,
-            record_ids=self.record_ids, durations=self.gaps, has_durations=self.has_durations,
-            demographics=self.demographics, event_times=event_times, censored=censored)
+        """The same records under new labels; only the labels are checked."""
+        data = copy.copy(self)
+        data._set_labels(event_times, censored)
+        return data
 
     def __len__(self) -> int:
         return len(self.offsets) - 1
@@ -280,28 +279,30 @@ class SurvivalDataset:
     def n_demographics(self) -> int:
         return self.demographics.shape[1]
 
-    @cached_property
+    @property
     def sequences(self) -> list[ObservationSequence]:
         """The records as ObservationSequence objects over views of the
         columns, built on first access without validating them again."""
-        bounds = zip(self.offsets[:-1].tolist(), self.offsets[1:].tolist())
-        dems = self.demographics if self.n_demographics else [None] * len(self)
-        return [
-            _trusted(ObservationSequence, observations=self.rows[a:b],
-                     timestamps=self.timestamps[a:b],
-                     durations=self.gaps[a:b] if given else None,
-                     demographics=dem, record_id=rid)
-            for (a, b), given, dem, rid in zip(bounds, self.has_durations.tolist(), dems,
-                                               self.record_ids.tolist())
-        ]
+        if self._sequences is None:
+            bounds = zip(self.offsets[:-1].tolist(), self.offsets[1:].tolist())
+            dems = self.demographics if self.n_demographics else [None] * len(self)
+            self._sequences = [
+                _trusted(ObservationSequence, observations=self.rows[a:b],
+                         timestamps=self.timestamps[a:b],
+                         durations=self.gaps[a:b] if given else None,
+                         demographics=dem, record_id=rid)
+                for (a, b), given, dem, rid in zip(bounds, self.has_durations.tolist(), dems,
+                                                   self.record_ids.tolist())
+            ]
+        return self._sequences
 
-    @cached_property
+    @property
     def labels(self) -> list[SurvivalLabel] | None:
         """The labels as SurvivalLabel objects, built on first access."""
-        if self._event_times is None:
-            return None
-        return [_trusted(SurvivalLabel, event_time=t, censored=c)
-                for t, c in zip(self._event_times.tolist(), self._censored.tolist())]
+        if self._labels is None and self._event_times is not None:
+            self._labels = [_trusted(SurvivalLabel, event_time=t, censored=c)
+                            for t, c in zip(self._event_times.tolist(), self._censored.tolist())]
+        return self._labels
 
     def _label_columns(self):
         if self._event_times is None:

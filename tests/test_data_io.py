@@ -116,15 +116,16 @@ class TestRoundTrip:
         np.testing.assert_array_equal(
             mixed.gaps, np.concatenate([s.gaps() for s in seqs]))
         write_dataset(mixed, tmp_path)
-        # durations are written only when every record has them; the
-        # timestamps, observations and labels come back exactly
-        assert "duration" not in (tmp_path / "observations.csv").read_text().splitlines()[0]
+        # every record's stay times are written as durations, so they, the
+        # timestamps, observations and labels all come back exactly
         back = read_dataset(tmp_path)
-        assert not back.has_durations.any()
+        assert back.has_durations.all()
+        np.testing.assert_array_equal(mixed.gaps, back.gaps)
         for a, b in zip(mixed.sequences, back.sequences):
             assert a.record_id == b.record_id
             np.testing.assert_array_equal(a.observations, b.observations)
             np.testing.assert_array_equal(a.timestamps, b.timestamps)
+            np.testing.assert_array_equal(a.gaps(), b.gaps())
         np.testing.assert_array_equal(mixed.event_times(), back.event_times())
         np.testing.assert_array_equal(mixed.censor_mask(), back.censor_mask())
 

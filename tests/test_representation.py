@@ -12,6 +12,8 @@ from staytime import (
     Mlp,
     NeuralStateFunction,
     ObservationSequence,
+    SurvivalDataset,
+    SurvivalLabel,
     ValidationError,
     build_grid,
     compute_ctr,
@@ -372,6 +374,33 @@ class TestSequenceValidation:
     def test_nonpositive_durations_rejected(self):
         with pytest.raises(ValidationError):
             ObservationSequence(np.zeros((2, 1)), durations=[0.5, 0.0])
+
+    @pytest.mark.parametrize("kwargs, rule", [
+        ({"observations": [[np.nan], [0.0]], "timestamps": [1.0, 2.0]},
+         "observations contains non-finite entries"),
+        ({"durations": [0.5, np.inf]}, "durations contains non-finite entries"),
+        ({"durations": [0.5, -1.0]}, "durations must all be positive"),
+        ({"timestamps": [1.0, np.nan]}, "timestamps contains non-finite entries"),
+        ({"timestamps": [-1.0, 2.0], "durations": [0.5, 0.5]}, "timestamps must be nonnegative"),
+        ({"timestamps": [1.0, 1.0]}, "timestamps must be strictly increasing"),
+        ({"timestamps": [0.0, 1.0]},
+         "first timestamp must be positive (stay times must be positive)"),
+        ({"timestamps": [1.0, 2.0], "demographics": [np.inf]},
+         "demographics contains non-finite entries"),
+        ({"timestamps": [1.0]}, "timestamps has length 1, expected 2"),
+        ({}, "timestamps are required when no durations are given"),
+    ])
+    def test_each_rule_names_itself(self, kwargs, rule):
+        kwargs = {"observations": np.zeros((2, 1)), **kwargs}
+        with pytest.raises(ValidationError) as info:
+            ObservationSequence(**kwargs)
+        assert str(info.value) == rule
+
+    def test_dataset_views_are_read_only(self):
+        data = SurvivalDataset([seq_from_times([1.0, 2.0])], [SurvivalLabel(3.0)])
+        for name in ("sequences", "labels"):
+            with pytest.raises(AttributeError):
+                setattr(data, name, getattr(data, name))
 
     def test_exponents_use_window_end(self):
         seq = seq_from_times([1.0, 2.0, 4.0])
