@@ -24,6 +24,7 @@ import numpy as np
 from .checkpoint import save_checkpoint
 from .data_io import (
     atomic_write_text,
+    csv_text,
     read_dataset,
     write_dataset,
     write_history,
@@ -186,10 +187,10 @@ def cmd_generate(args) -> int:
 
 
 def _table(prefix: str, ids: list, values: np.ndarray) -> str:
-    """CSV with a record_id column and one repr-formatted column per feature."""
-    lines = [",".join(["record_id", *(f"{prefix}{j}" for j in range(values.shape[1]))])]
-    lines += [",".join([rid, *map(repr, row)]) for rid, row in zip(ids, values.tolist())]
-    return "\n".join(lines) + "\n"
+    """CSV with a record_id column and one repr-formatted column per feature;
+    ids are quoted by the rule write_dataset uses."""
+    header = ["record_id", *(f"{prefix}{j}" for j in range(values.shape[1]))]
+    return csv_text(header, ids, *(map(repr, column) for column in values.T.tolist()))
 
 
 def cmd_featurize(args) -> int:

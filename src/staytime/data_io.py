@@ -50,7 +50,7 @@ def _floats(column: np.ndarray):
     return map(repr, column.tolist())
 
 
-def _csv_text(header, *columns) -> str:
+def csv_text(header, *columns) -> str:
     """CSV text of a header row and whole columns of cells."""
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
@@ -89,12 +89,12 @@ def write_dataset(dataset: SurvivalDataset, directory,
     }
 
     atomic_write_text(directory / OBSERVATIONS_FILE,
-                      _csv_text(obs_header, row_ids, *map(_floats, obs_columns)))
-    atomic_write_text(directory / LABELS_FILE, _csv_text(
+                      csv_text(obs_header, row_ids, *map(_floats, obs_columns)))
+    atomic_write_text(directory / LABELS_FILE, csv_text(
         ["record_id", "event_time", "censored"], dataset.record_ids, _floats(times),
         np.where(censored, "1", "0")))
     if n_dem:
-        atomic_write_text(directory / DEMOGRAPHICS_FILE, _csv_text(
+        atomic_write_text(directory / DEMOGRAPHICS_FILE, csv_text(
             ["record_id", *dem_cols], dataset.record_ids,
             *map(_floats, dataset.demographics.T)))
     atomic_write_text(directory / MANIFEST_FILE,

@@ -21,15 +21,35 @@ def relu(x):
     return np.maximum(x, 0.0)
 
 
-def softmax(x, axis=-1):
-    """Row-wise softmax, stabilized by subtracting the row max."""
-    shifted = x - np.max(x, axis=axis, keepdims=True)
-    e = np.exp(shifted)
-    return e / e.sum(axis=axis, keepdims=True)
+def softmax(x, axis=-1, out=None):
+    """Row-wise softmax, stabilized by subtracting the row max; out=x works
+    in place."""
+    shifted = np.subtract(x, np.max(x, axis=axis, keepdims=True), out=out)
+    e = np.exp(shifted, out=shifted)
+    return np.divide(e, e.sum(axis=axis, keepdims=True), out=e)
 
 
 def log_sigmoid(x):
     return -np.logaddexp(0.0, -x)
+
+
+class Workspace:
+    """Train-mode buffers kept for one fit.  buf(key, rows, cols) gives the
+    first rows of the buffer kept under key, reallocated only when a batch
+    outgrows it.  A network's workspace also holds its flat gradient (grad,
+    possibly a view of a larger vector) and named views of its blocks."""
+
+    def __init__(self, net=None, grad=None):
+        self._bufs = {}
+        if net is not None:
+            self.grad = np.zeros(net.n_params) if grad is None else grad
+            self.grads = net.blocks(self.grad)
+
+    def buf(self, key, rows, cols, dtype=float):
+        b = self._bufs.get(key)
+        if b is None or b.shape[0] < rows:
+            b = self._bufs[key] = np.empty((rows, cols), dtype)
+        return b[:rows]
 
 
 class Mlp:
@@ -38,6 +58,9 @@ class Mlp:
     Weights use fan-in scaled uniform init (ReLU oriented), biases start at
     zero.  Batch norm applies to hidden layers only, never to the output
     layer; dropout applies to hidden activations only.
+
+    The parameters (flat_params, in params() order) and then the batch-norm
+    running statistics fill one vector, flat; named arrays are views into it.
     """
 
     def __init__(self, layer_sizes, out_activation="identity", batchnorm=True,
@@ -61,17 +84,29 @@ class Mlp:
         self.bn_momentum = float(bn_momentum)
 
         n_layers = len(layer_sizes) - 1
-        self.weights, self.biases = [], []
+        hidden = range(max(n_layers - 1, 0) if self.batchnorm else 0)
+        shapes = self._shapes = {}
         for i in range(n_layers):
-            fan_in, fan_out = layer_sizes[i], layer_sizes[i + 1]
-            limit = np.sqrt(6.0 / fan_in)
-            self.weights.append(rng.uniform(-limit, limit, size=(fan_in, fan_out)))
-            self.biases.append(np.zeros(fan_out))
-        n_hidden = max(n_layers - 1, 0)
-        self.bn_scale = [np.ones(layer_sizes[i + 1]) for i in range(n_hidden)]
-        self.bn_shift = [np.zeros(layer_sizes[i + 1]) for i in range(n_hidden)]
-        self.bn_run_mean = [np.zeros(layer_sizes[i + 1]) for i in range(n_hidden)]
-        self.bn_run_var = [np.ones(layer_sizes[i + 1]) for i in range(n_hidden)]
+            shapes[f"w{i}"] = (layer_sizes[i], layer_sizes[i + 1])
+            shapes[f"b{i}"] = (layer_sizes[i + 1],)
+        shapes.update({f"bn{i}_{k}": (layer_sizes[i + 1],)
+                       for i in hidden for k in ("scale", "shift")})
+        self.n_params = sum(int(np.prod(s)) for s in shapes.values())  # statistics follow
+        shapes.update({f"bn{i}_{k}": (layer_sizes[i + 1],)
+                       for i in hidden for k in ("run_mean", "run_var")})
+        self.flat = np.zeros(sum(int(np.prod(s)) for s in shapes.values()))
+        self.flat_params = self.flat[: self.n_params]
+        views = self.blocks(self.flat)
+        self.weights = [views[f"w{i}"] for i in range(n_layers)]
+        self.biases = [views[f"b{i}"] for i in range(n_layers)]
+        self.bn_scale, self.bn_shift, self.bn_run_mean, self.bn_run_var = (
+            [views[f"bn{i}_{k}"] for i in hidden] for k in ("scale", "shift", "run_mean", "run_var")
+        )
+        for w in self.weights:
+            limit = np.sqrt(6.0 / w.shape[0])
+            w[...] = rng.uniform(-limit, limit, size=w.shape)
+        for v in self.bn_scale + self.bn_run_var:
+            v.fill(1.0)
 
     @property
     def n_layers(self) -> int:
@@ -81,77 +116,86 @@ class Mlp:
     def n_hidden(self) -> int:
         return max(self.n_layers - 1, 0)
 
+    def blocks(self, vec) -> dict:
+        """Named reshaped views of a vector laid out like flat: every block
+        that fits, so a vector of n_params entries gives the parameters."""
+        out, lo = {}, 0
+        for name, shape in self._shapes.items():
+            hi = lo + int(np.prod(shape))
+            if hi > len(vec):
+                break
+            out[name], lo = vec[lo:hi].reshape(shape), hi
+        return out
+
     def params(self) -> dict:
         """Trainable parameter arrays by block name (live views, not copies)."""
-        out = {}
-        for i in range(self.n_layers):
-            out[f"w{i}"] = self.weights[i]
-            out[f"b{i}"] = self.biases[i]
-        if self.batchnorm:
-            for i in range(self.n_hidden):
-                out[f"bn{i}_scale"] = self.bn_scale[i]
-                out[f"bn{i}_shift"] = self.bn_shift[i]
-        return out
+        return self.blocks(self.flat_params)
 
     def state_arrays(self) -> dict:
         """Trainable parameters plus batch-norm running statistics."""
-        out = dict(self.params())
-        if self.batchnorm:
-            for i in range(self.n_hidden):
-                out[f"bn{i}_run_mean"] = self.bn_run_mean[i]
-                out[f"bn{i}_run_var"] = self.bn_run_var[i]
-        return out
+        return self.blocks(self.flat)
 
-    def snapshot(self) -> dict:
-        return {k: v.copy() for k, v in self.state_arrays().items()}
+    def snapshot(self) -> np.ndarray:
+        return self.flat.copy()
 
-    def restore(self, snap: dict):
-        for k, v in self.state_arrays().items():
-            v[...] = snap[k]
+    def restore(self, snap: np.ndarray):
+        self.flat[...] = snap
 
-    def _bn_forward(self, i, a, mode, update_stats, in_place=False):
-        """Batch norm of a; in_place overwrites a, for callers keeping no cache."""
+    def _bn_forward(self, i, a, mode, update_stats, xhat_out):
+        """Batch norm of a, with xhat written to xhat_out (a fresh array when
+        None).  The output goes over a unless xhat_out is None; train mode
+        also uses a for the squared deviations."""
         eps = self.bn_eps
         if mode == "train":
             mu = a.mean(axis=0)
-            var = a.var(axis=0)
+            xhat = np.subtract(a, mu, out=xhat_out)
+            var = np.multiply(xhat, xhat, out=a).sum(axis=0) / a.shape[0]  # a.var(axis=0)
             inv_std = 1.0 / np.sqrt(var + eps)
-            xhat = np.subtract(a, mu, out=a if in_place else None)
             if update_stats:
                 mom = self.bn_momentum
                 b = a.shape[0]
                 unbiased = var * (b / (b - 1)) if b > 1 else var
-                self.bn_run_mean[i] = (1 - mom) * self.bn_run_mean[i] + mom * mu
-                self.bn_run_var[i] = (1 - mom) * self.bn_run_var[i] + mom * unbiased
+                self.bn_run_mean[i][...] = (1 - mom) * self.bn_run_mean[i] + mom * mu
+                self.bn_run_var[i][...] = (1 - mom) * self.bn_run_var[i] + mom * unbiased
         else:
             inv_std = 1.0 / np.sqrt(self.bn_run_var[i] + eps)
-            xhat = np.subtract(a, self.bn_run_mean[i], out=a if in_place else None)
+            xhat = np.subtract(a, self.bn_run_mean[i], out=xhat_out)
         xhat *= inv_std
-        out = np.multiply(xhat, self.bn_scale[i], out=xhat if in_place else None)
+        out = np.multiply(xhat, self.bn_scale[i], out=None if xhat_out is None else a)
         out += self.bn_shift[i]
         cache = {"xhat": xhat, "inv_std": inv_std, "train": mode == "train"}
         return out, cache
 
-    def _bn_backward(self, i, dout, cache):
+    def _bn_backward(self, i, dout, cache, work):
+        """d loss / d a, written over dout; dscale and dshift go to the
+        workspace gradient."""
         xhat, inv_std = cache["xhat"], cache["inv_std"]
-        dscale = np.sum(dout * xhat, axis=0)
-        dshift = np.sum(dout, axis=0)
-        if cache["train"]:
-            b = dout.shape[0]
-            dxhat = dout * self.bn_scale[i]
-            da = (inv_std / b) * (
-                b * dxhat - dxhat.sum(axis=0) - xhat * np.sum(dxhat * xhat, axis=0)
-            )
-        else:
-            da = dout * self.bn_scale[i] * inv_std
-        return da, dscale, dshift
+        tmp = work.buf(("bn", i), *dout.shape)
+        np.sum(np.multiply(dout, xhat, out=tmp), axis=0, out=work.grads[f"bn{i}_scale"])
+        np.sum(dout, axis=0, out=work.grads[f"bn{i}_shift"])
+        dxhat = np.multiply(dout, self.bn_scale[i], out=dout)
+        if not cache["train"]:
+            return np.multiply(dxhat, inv_std, out=dxhat)
+        # (inv_std / b) * (b * dxhat - sum(dxhat) - xhat * sum(dxhat * xhat))
+        b = dout.shape[0]
+        s1 = dxhat.sum(axis=0)
+        s2 = np.sum(np.multiply(dxhat, xhat, out=tmp), axis=0)
+        dxhat *= b
+        dxhat -= s1
+        dxhat -= np.multiply(xhat, s2, out=tmp)
+        return np.multiply(inv_std / b, dxhat, out=dxhat)
 
-    def forward(self, X, mode="eval", rng=None, want_cache=False, update_stats=None):
+    def forward(self, X, mode="eval", rng=None, want_cache=False, update_stats=None,
+                work=None):
         """Run the network; mode "train" uses batch statistics and dropout.
 
         update_stats defaults to (mode == "train"); pass False to keep the
         running statistics frozen, which makes train-mode forward a pure
         function of the parameters (needed for finite-difference checks).
+
+        Train mode writes every per-row array into work, a Workspace of this
+        network (a fresh one when None), so the output and the cache are
+        views valid until its next train-mode call.  Eval mode allocates.
         """
         if mode not in ("train", "eval"):
             raise ConfigurationError(f"unknown mode {mode!r}")
@@ -162,105 +206,100 @@ class Mlp:
             raise ConfigurationError(
                 f"input shape {X.shape} does not match input width {self.layer_sizes[0]}"
             )
-        if mode == "train" and self.dropout > 0.0 and rng is None:
+        train = mode == "train"
+        if train and self.dropout > 0.0 and rng is None:
             raise ConfigurationError("train-mode forward with dropout needs an rng")
+        if train and work is None:
+            work = Workspace(self)
+        n = X.shape[0]
 
-        # without a cache nothing needs the intermediates, so layers work in place
-        layers = []
-        h = X
+        # eval without a cache needs no intermediates, so its layers work in place
+        layers, h = [], X
         for i in range(self.n_hidden):
-            a = h @ self.weights[i]
+            width = self.layer_sizes[i + 1]
+            a = np.matmul(h, self.weights[i], out=work.buf(("a", i), n, width) if train else None)
             a += self.biases[i]
-            if self.batchnorm:
-                bn_out, bn_cache = self._bn_forward(i, a, mode, update_stats,
-                                                    in_place=not want_cache)
+            if train:
+                xhat_out, r = work.buf(("xhat", i), n, width), work.buf(("h", i), n, width)
             else:
-                bn_out, bn_cache = a, None
-            r = relu(bn_out) if want_cache else np.maximum(bn_out, 0.0, out=bn_out)
+                xhat_out = r = None if want_cache else a
+            bn_out, bn_cache = (self._bn_forward(i, a, mode, update_stats, xhat_out)
+                                if self.batchnorm else (a, None))
+            r = np.maximum(bn_out, 0.0, out=r)
             mask = None
-            if self.dropout > 0.0 and mode == "train":
+            if self.dropout > 0.0 and train:
                 keep = 1.0 - self.dropout
-                mask = (rng.random(r.shape) < keep) / keep
-                r = r * mask
-            if want_cache:
-                layers.append({"inp": h, "bn": bn_cache, "relu_in": bn_out, "mask": mask})
+                mask = rng.random(out=work.buf(("mask", i), n, width))
+                np.less(mask, keep, out=mask)
+                mask /= keep
+                r *= mask
+            layers.append({"inp": h, "bn": bn_cache, "relu_in": bn_out, "mask": mask})
             h = r
+        out = h
         if self.n_layers:
-            out = h @ self.weights[-1] + self.biases[-1]
-        else:
-            out = h
+            out = np.matmul(h, self.weights[-1],
+                            out=work.buf("out", n, self.layer_sizes[-1]) if train else None)
+            out += self.biases[-1]
         final = {"inp": h}
-        if self.out_activation == "softmax":
-            out = softmax(out, axis=1)
-            final["probs"] = out
+        if self.out_activation == "softmax":  # in place over the last layer's output
+            out = final["probs"] = softmax(out, axis=1, out=out if self.n_layers else None)
         if want_cache:
-            return out, {"layers": layers, "final": final}
+            return out, {"layers": layers, "final": final, "work": work}
         return out
 
     def backward(self, dout, cache):
-        """Gradients of a scalar loss given d loss / d output.
-
-        Returns (grads keyed like params(), d loss / d input).
-        """
-        grads = {}
+        """(flat gradient laid out like flat_params, d loss / d input) of a
+        scalar loss given d loss / d output; a train-mode cache writes both
+        into its workspace, an eval-mode cache gets fresh arrays."""
+        work = cache.get("work") or Workspace(self)
         if self.n_layers == 0:
-            return grads, np.asarray(dout, dtype=float)
-        final = cache["final"]
+            return work.grad, np.asarray(dout, dtype=float)
+        final, grads = cache["final"], work.grads
+        n, last = final["inp"].shape[0], self.n_layers - 1
+        dlogits = np.asarray(dout, dtype=float)
         if self.out_activation == "softmax":
             p = final["probs"]
-            dlogits = p * (dout - np.sum(dout * p, axis=1, keepdims=True))
-        else:
-            dlogits = np.asarray(dout, dtype=float)
-        grads[f"w{self.n_layers - 1}"] = final["inp"].T @ dlogits
-        grads[f"b{self.n_layers - 1}"] = dlogits.sum(axis=0)
-        dh = dlogits @ self.weights[-1].T
+            dl = work.buf("dlogits", n, p.shape[1])
+            s = np.multiply(dlogits, p, out=dl).sum(axis=1, keepdims=True)
+            dlogits = np.multiply(p, np.subtract(dlogits, s, out=dl), out=dl)
+        np.matmul(final["inp"].T, dlogits, out=grads[f"w{last}"])
+        np.sum(dlogits, axis=0, out=grads[f"b{last}"])
+        dh = np.matmul(dlogits, self.weights[-1].T,
+                       out=work.buf(("dh", last), n, self.layer_sizes[last]))
         for i in range(self.n_hidden - 1, -1, -1):
             layer = cache["layers"][i]
             if layer["mask"] is not None:
-                dh = dh * layer["mask"]
-            dh = dh * (layer["relu_in"] > 0)
+                dh *= layer["mask"]
+            dh *= np.greater(layer["relu_in"], 0.0, out=work.buf(("pos", i), *dh.shape, bool))
             if self.batchnorm:
-                dh, dscale, dshift = self._bn_backward(i, dh, layer["bn"])
-                grads[f"bn{i}_scale"] = dscale
-                grads[f"bn{i}_shift"] = dshift
-            grads[f"w{i}"] = layer["inp"].T @ dh
-            grads[f"b{i}"] = dh.sum(axis=0)
-            dh = dh @ self.weights[i].T
-        return grads, dh
+                dh = self._bn_backward(i, dh, layer["bn"], work)
+            np.matmul(layer["inp"].T, dh, out=grads[f"w{i}"])
+            np.sum(dh, axis=0, out=grads[f"b{i}"])
+            dh = np.matmul(dh, self.weights[i].T, out=work.buf(("dh", i), n, self.layer_sizes[i]))
+        return work.grad, dh
+
+    _META = ("out_activation", "batchnorm", "dropout", "bn_eps", "bn_momentum")
 
     def meta(self) -> dict:
-        return {
-            "layer_sizes": list(self.layer_sizes),
-            "out_activation": self.out_activation,
-            "batchnorm": self.batchnorm,
-            "dropout": self.dropout,
-            "bn_eps": self.bn_eps,
-            "bn_momentum": self.bn_momentum,
-        }
+        return {"layer_sizes": list(self.layer_sizes), **{k: getattr(self, k) for k in self._META}}
 
     @classmethod
     def from_meta(cls, meta: dict) -> "Mlp":
-        return cls(
-            meta["layer_sizes"],
-            out_activation=meta["out_activation"],
-            batchnorm=meta["batchnorm"],
-            dropout=meta["dropout"],
-            bn_eps=meta["bn_eps"],
-            bn_momentum=meta["bn_momentum"],
-        )
+        return cls(meta["layer_sizes"], **{k: meta[k] for k in cls._META})
 
 
 @dataclass
 class AdamState:
-    """First/second moment accumulators for a named set of parameter blocks."""
+    """Adam's settings, step count and flat first/second moment vectors."""
 
     lr: float = 1e-3
     beta1: float = 0.9
     beta2: float = 0.999
     eps: float = 1e-8
     t: int = 0
-    m: dict = field(default_factory=dict)
-    v: dict = field(default_factory=dict)
+    m: np.ndarray | None = None
+    v: np.ndarray | None = None
+    scratch: np.ndarray | None = field(default=None, repr=False)
 
     def __post_init__(self):
         if not (0 <= self.beta1 < 1 and 0 <= self.beta2 < 1):
@@ -269,25 +308,35 @@ class AdamState:
             raise ConfigurationError("Adam lr and eps must be positive")
 
 
-def adam_step(params: dict, grads: dict, state: AdamState):
-    """One bias-corrected Adam update, applied to the arrays in place."""
+def adam_step(params, grad, state: AdamState):
+    """One bias-corrected Adam update (Kingma and Ba, arXiv 1412.6980) of the
+    contiguous arrays in params, in place.  grad is one flat vector matching
+    their flattened concatenation, so a step is a fixed handful of vectorised
+    operations, each element updated exactly as a per-block step would."""
+    sizes = [p.size for p in params]
+    if grad.shape != (sum(sizes),):
+        raise ContractError(f"gradient shape {grad.shape} != parameter count {sum(sizes)}")
+    if state.m is None:
+        state.m, state.v = np.zeros_like(grad), np.zeros_like(grad)
+        state.scratch = np.empty((2, grad.size))
     state.t += 1
     t = state.t
-    for name, p in params.items():
-        g = grads[name]
-        if g.shape != p.shape:
-            raise ContractError(f"gradient shape {g.shape} != param shape {p.shape} for {name}")
-        if name not in state.m:
-            state.m[name] = np.zeros_like(p)
-            state.v[name] = np.zeros_like(p)
-        m, v = state.m[name], state.v[name]
-        m *= state.beta1
-        m += (1 - state.beta1) * g
-        v *= state.beta2
-        v += (1 - state.beta2) * g * g
-        m_hat = m / (1 - state.beta1 ** t)
-        v_hat = v / (1 - state.beta2 ** t)
-        p -= state.lr * m_hat / (np.sqrt(v_hat) + state.eps)
+    m, v, (a, step) = state.m, state.v, state.scratch
+    m *= state.beta1
+    m += np.multiply(grad, 1 - state.beta1, out=a)
+    v *= state.beta2
+    np.multiply(grad, 1 - state.beta2, out=a)
+    v += np.multiply(a, grad, out=a)
+    # step = lr * m_hat / (sqrt(v_hat) + eps)
+    np.sqrt(np.divide(v, 1 - state.beta2 ** t, out=a), out=a)
+    a += state.eps
+    np.divide(m, 1 - state.beta1 ** t, out=step)
+    step *= state.lr
+    step /= a
+    lo = 0
+    for p, size in zip(params, sizes):
+        p -= step[lo:lo + size].reshape(p.shape)
+        lo += size
 
 
 def grad_check(params: dict, loss_and_grads, eps: float = 1e-5,

@@ -66,13 +66,6 @@ class DecayParameter:
             return 0.0
         return float(-self.value * sigmoid(self.raw[0]))
 
-    def snapshot(self) -> float | None:
-        return None if self.raw is None else float(self.raw[0])
-
-    def restore(self, raw: float | None):
-        if self.trainable:
-            self.raw[0] = raw
-
 
 def decay_exponents(seq: ObservationSequence) -> np.ndarray:
     """Exponent t_M - t_m applied to the decay factor for each observation."""
@@ -149,10 +142,11 @@ class PackedRecords:
         return replace(self, weights=W)
 
 
-def segment_ctr(u, W, starts, normalize: bool):
+def segment_ctr(u, W, starts, normalize: bool, scratch=None):
     """Sums of u_m * W_m over the row segments that begin at starts, plus the
-    segment totals of u when normalize divides them out (else None)."""
-    Z = np.add.reduceat(u[:, None] * W, starts, axis=0)
+    segment totals of u when normalize divides them out (else None).  The
+    products go to scratch when given, an array shaped like W."""
+    Z = np.add.reduceat(np.multiply(u[:, None], W, out=scratch), starts, axis=0)
     if not normalize:
         return Z, None
     totals = np.add.reduceat(u, starts)

@@ -10,7 +10,7 @@ from the loss through f's input gradient into the stay-time weights.
 from __future__ import annotations
 
 import dataclasses
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -20,7 +20,7 @@ from .errors import (
     UndefinedResultError,
     ValidationError,
 )
-from .nn import AdamState, Mlp, adam_step, grad_check, log_sigmoid
+from .nn import AdamState, Mlp, Workspace, adam_step, grad_check, log_sigmoid
 from .representation import DecayParameter, PackedRecords, segment_ctr, sigmoid, stay_time_matrix
 from .sequences import SurvivalDataset, as_dataset
 from .states import (
@@ -265,7 +265,7 @@ class TrainedModel:
             feats = static_features_batch(data)
             if self.static_standardizer is not None:
                 feats = self.static_standardizer.transform(feats)
-            return feats
+            return _with_demographics(feats, self._demographics(data))
         packed = PackedRecords.pack(data)
         if self.obs_standardizer is not None:
             packed.rows = self.obs_standardizer.transform(packed.rows)
@@ -299,45 +299,117 @@ def split_validation(n: int, censored, fraction: float, rng, stratify: bool = Tr
     return np.sort(train_idx), np.sort(val_idx)
 
 
+def _with_demographics(X, dem) -> np.ndarray:
+    """Predictor input of every model kind: X, then the standardized
+    demographics when the dataset has any."""
+    return X if dem is None else np.concatenate([X, dem], axis=1)
+
+
 def _ctr_features(packed, state, decay, normalize, dem) -> np.ndarray:
     """Predictor input in eval mode: stay-time vectors plus demographics.
     Scoring and per-epoch validation both run through here."""
-    Z = stay_time_matrix(packed, state, decay, normalize)
-    return Z if dem is None else np.concatenate([Z, dem], axis=1)
+    return _with_demographics(stay_time_matrix(packed, state, decay, normalize), dem)
 
 
-def _require_finite(x, context):
-    arr = np.asarray(x)
-    if not np.all(np.isfinite(arr)):
-        raise DivergenceError(f"non-finite value in {context}")
-
-
-@dataclass
 class _Components:
     """Everything one configured model needs for a forward/backward pass.
 
     Built once per training run and shared verbatim by the gradient checker,
-    so the checked code path is the trained code path.
+    so the checked code path is the trained code path.  It owns the run's
+    train-mode workspaces and its flat gradient, laid out like params(): f's
+    blocks, then g's, then the decay raw value.  They go when the run ends.
     """
 
-    config: TrainConfig
-    times: np.ndarray
-    censored: np.ndarray
-    train_idx: np.ndarray
-    val_idx: np.ndarray
-    f: Mlp
-    gnet: Mlp | None
-    state: StateFunction | None
-    decay: DecayParameter | None
-    dem: np.ndarray | None
-    feats_all: np.ndarray | None
-    obs_std: Standardizer | None
-    dem_std: Standardizer | None
-    static_std: Standardizer | None
-    train_packed: PackedRecords | None
-    val_packed: PackedRecords | None
-    rng_shuffle: np.random.Generator
-    rng_dropout: np.random.Generator
+    def __init__(self, dataset: SurvivalDataset, config: TrainConfig):
+        """Split the data, fit preprocessing on the training side only, and
+        build the state function and networks for one model."""
+        self.config = config
+        self.times = times = dataset.event_times()
+        self.censored = censored = dataset.censor_mask()
+
+        ss = np.random.SeedSequence(config.seed)
+        rng_split, rng_finit, rng_ginit, rng_bases, self.rng_shuffle, self.rng_dropout = (
+            np.random.default_rng(s) for s in ss.spawn(6)
+        )
+
+        stratify = bool(censored.any())
+        self.train_idx, self.val_idx = train_idx, val_idx = split_validation(
+            len(dataset), censored, config.val_fraction, rng_split, stratify
+        )
+        standardize = config.wants_standardize
+        self.obs_std = self.dem_std = self.static_std = None
+        self.train_packed = self.val_packed = None
+        if config.model != "static":
+            packed = PackedRecords.pack(dataset)
+            if standardize:
+                self.obs_std = Standardizer.fit(packed.take(train_idx).rows)
+                packed.rows = self.obs_std.transform(packed.rows)
+            self.train_packed, self.val_packed = packed.take(train_idx), packed.take(val_idx)
+
+        self.dem = None
+        if dataset.n_demographics:
+            self.dem = dataset.demographics
+            if standardize:
+                self.dem_std = Standardizer.fit(self.dem[train_idx], skip_binary=True)
+                self.dem = self.dem_std.transform(self.dem)
+
+        self.gnet = self.state = self.decay = self.feats_all = None
+        if config.model == "static":
+            feats = static_features_batch(dataset)
+            if standardize:
+                self.static_std = Standardizer.fit(feats[train_idx])
+                feats = self.static_std.transform(feats)
+            n_ctr = feats.shape[1]
+            self.feats_all = _with_demographics(feats, self.dem)
+        else:
+            self.decay = DecayParameter(config.decay_init, trainable=config.decay_trainable)
+            d_in = dataset.n_features
+            if config.model == "ctr-d":
+                # a configured range describes raw observations; once they are
+                # standardized the grid has to come from the prepped data instead
+                if config.value_range is None or standardize:
+                    pooled = self.train_packed.rows
+                    ranges = [(pooled[:, j].min(), pooled[:, j].max()) for j in range(d_in)]
+                    # unseen records may step outside the training range
+                    self.state = DiscreteStateFunction(build_grid(ranges, config.segments),
+                                                       clamp=True)
+                else:
+                    grid = build_grid(config.value_range, config.segments, n_dims=d_in)
+                    self.state = DiscreteStateFunction(grid, clamp=False)
+            elif config.model == "ctr-k":
+                points = sample_bases(self.train_packed.rows, config.n_bases, rng_bases)
+                self.state = KernelStateFunction(KernelBasisSet(points, gamma=config.gamma))
+            else:
+                self.gnet = Mlp(
+                    [d_in, *config.g_hidden, config.n_states],
+                    out_activation="softmax",
+                    batchnorm=config.batchnorm,
+                    dropout=config.dropout,
+                    rng=rng_ginit,
+                )
+                self.state = NeuralStateFunction(self.gnet)
+            n_ctr = self.state.n_states
+
+        n_dem = 0 if self.dem is None else self.dem.shape[1]
+        self.f = Mlp(
+            [n_ctr + n_dem, *config.f_hidden, 1],
+            out_activation="identity",
+            batchnorm=config.batchnorm,
+            dropout=config.dropout,
+            rng=rng_finit,
+        )
+        if config.model in ("ctr-d", "ctr-k"):
+            # fixed state functions: weigh every training row once, up front
+            self.train_packed = self.train_packed.with_weights(self.state)
+
+        nets = [net for net in (self.f, self.gnet) if net is not None]
+        raw = [self.decay.raw] if self.decay is not None and self.decay.trainable else []
+        self.vectors = [net.flat_params for net in nets] + raw  # what Adam updates
+        self.states = [net.flat for net in nets] + raw  # what a best-epoch snapshot copies
+        self.grad = np.zeros(sum(v.size for v in self.vectors))
+        self.work = {net: Workspace(net, self.grad[lo:lo + net.n_params])
+                     for net, lo in zip(nets, (0, self.f.n_params))}
+        self.scratch = Workspace()  # this class's own per-row buffers
 
     def params(self) -> dict:
         p = {f"f/{k}": v for k, v in self.f.params().items()}
@@ -346,6 +418,22 @@ class _Components:
         if self.decay is not None and self.decay.trainable:
             p["decay/raw"] = self.decay.raw
         return p
+
+    def grad_blocks(self, grad) -> dict:
+        """Views of a vector laid out like the flat gradient, named like params()."""
+        out, lo = {}, 0
+        for name, p in self.params().items():
+            out[name], lo = grad[lo:lo + p.size].reshape(p.shape), lo + p.size
+        return out
+
+    def require_finite(self, loss, epoch):
+        """One finiteness check of the loss and the flat gradient; a failure
+        names the loss or else the first non-finite gradient block."""
+        if np.isfinite(loss) and np.isfinite(self.grad).all():
+            return
+        bad = "loss" if not np.isfinite(loss) else "gradient " + next(
+            name for name, g in self.grad_blocks(self.grad).items() if not np.isfinite(g).all())
+        raise DivergenceError(f"non-finite value in {bad} at epoch {epoch}")
 
     def assemble(self, packed, local_idx, global_idx, rng, update_stats=None):
         """Train-mode predictor input for a batch plus what the backward
@@ -359,71 +447,67 @@ class _Components:
         if config.model == "ctr-n":
             W, gcache = self.gnet.forward(
                 batch.rows, mode="train", rng=rng, want_cache=True,
-                update_stats=update_stats,
+                update_stats=update_stats, work=self.work[self.gnet],
             )
         starts = batch.offsets[:-1]
-        Z, totals = segment_ctr(u, W, starts, config.normalize_ctr)
+        Z, totals = segment_ctr(u, W, starts, config.normalize_ctr,
+                                scratch=self.scratch.buf("prod", *W.shape))
         aux = {
             "u": u, "expo": batch.exponents, "W": W, "starts": starts,
             "counts": batch.counts, "gcache": gcache, "totals": totals, "Z": Z,
         }
-        X = Z
-        if self.dem is not None:
-            X = np.concatenate([Z, self.dem[global_idx]], axis=1)
-        return X, aux
+        dem = None if self.dem is None else self.dem[global_idx]
+        return _with_demographics(Z, dem), aux
 
     def ctr_backward(self, gz, aux):
-        """Gradients of the loss through z into g and the decay raw value."""
+        """Gradients of the loss through z into g and the decay raw value,
+        written into the flat gradient."""
         config = self.config
         decay = self.decay
-        out = {}
+        if config.model != "ctr-n" and not decay.trainable:
+            return
         u, expo, W, starts, counts = (
             aux["u"], aux["expo"], aux["W"], aux["starts"], aux["counts"],
         )
         gz_eff = gz
         if config.normalize_ctr:
             gz_eff = gz / aux["totals"][:, None]
-        gz_rows = np.repeat(gz_eff, counts, axis=0)
+        # each record's row of gz_eff, repeated over its observations
+        gz_rows = np.take(gz_eff, np.repeat(np.arange(len(counts)), counts), axis=0,
+                          out=self.scratch.buf("gz_rows", *W.shape))
+        prod = self.scratch.buf("prod", *W.shape)
         if config.model == "ctr-n":
-            gW = gz_rows * u[:, None]
-            ggrads, _ = self.gnet.backward(gW, aux["gcache"])
-            out["g"] = ggrads
+            self.gnet.backward(np.multiply(gz_rows, u[:, None], out=prod), aux["gcache"])
         if decay.trainable:
             lam = decay.value
-            s_rows = np.sum(gz_rows * W, axis=1)
+            s_rows = np.multiply(gz_rows, W, out=prod).sum(axis=1)
             dldlam = float(np.sum(s_rows * u * expo) / lam)
             if config.normalize_ctr:
                 # the totals also move with the decay value
                 dtot = np.add.reduceat(u * expo, starts) / lam
                 z_dot = np.sum(gz_eff * aux["Z"], axis=1)
                 dldlam -= float(np.sum(z_dot * dtot))
-            out["decay"] = np.array([dldlam * decay.value_grad()])
-        return out
+            self.grad[-1] = dldlam * decay.value_grad()
 
     def batch_loss_and_grads(self, packed, local_idx, global_idx, rng,
                              update_stats=None):
-        """Train-mode forward and backward over one batch; gradients are
-        keyed exactly like params()."""
+        """Train-mode forward and backward over one batch: returns the loss
+        and the flat gradient, written in place."""
         config = self.config
         X, aux = self.assemble(packed, local_idx, global_idx, rng,
                                update_stats=update_stats)
-        out, fcache = self.f.forward(X, mode="train", rng=rng,
-                                     want_cache=True, update_stats=update_stats)
+        out, fcache = self.f.forward(X, mode="train", rng=rng, want_cache=True,
+                                     update_stats=update_stats, work=self.work[self.f])
         preds = out[:, 0]
         t = self.times[global_idx]
         if config.loss == "squared":
             loss, dpred = squared_loss(preds, t)
         else:
             loss, dpred = combined_loss(preds, t, self.censored[global_idx])
-        fgrads, dX = self.f.backward(dpred[:, None], fcache)
-        grads = {f"f/{k}": v for k, v in fgrads.items()}
+        _, dX = self.f.backward(dpred[:, None], fcache)
         if config.model != "static":
-            extra = self.ctr_backward(dX[:, : aux["Z"].shape[1]], aux)
-            if "g" in extra:
-                grads.update({f"g/{k}": v for k, v in extra["g"].items()})
-            if "decay" in extra:
-                grads["decay/raw"] = extra["decay"]
-        return loss, grads
+            self.ctr_backward(dX[:, : aux["Z"].shape[1]], aux)
+        return loss, self.grad
 
     def predict_validation(self) -> np.ndarray:
         if self.config.model == "static":
@@ -435,131 +519,17 @@ class _Components:
         return self.f.forward(X)[:, 0]
 
 
-def _build_components(dataset: SurvivalDataset, config: TrainConfig) -> _Components:
-    """Split the data, fit preprocessing on the training side only, and build
-    the state function and networks for one model."""
-    times = dataset.event_times()
-    censored = dataset.censor_mask()
-    n = len(dataset)
-
-    ss = np.random.SeedSequence(config.seed)
-    rng_split, rng_finit, rng_ginit, rng_bases, rng_shuffle, rng_dropout = (
-        np.random.default_rng(s) for s in ss.spawn(6)
-    )
-
-    stratify = bool(censored.any())
-    train_idx, val_idx = split_validation(
-        n, censored, config.val_fraction, rng_split, stratify
-    )
-    standardize = config.wants_standardize
-    obs_std = dem_std = static_std = None
-    train_packed = val_packed = None
-    if config.model != "static":
-        packed = PackedRecords.pack(dataset)
-        if standardize:
-            obs_std = Standardizer.fit(packed.take(train_idx).rows)
-            packed.rows = obs_std.transform(packed.rows)
-        train_packed, val_packed = packed.take(train_idx), packed.take(val_idx)
-
-    dem = None
-    if dataset.n_demographics:
-        dem_all = dataset.demographics
-        if standardize:
-            dem_std = Standardizer.fit(dem_all[train_idx], skip_binary=True)
-            dem_all = dem_std.transform(dem_all)
-        dem = dem_all
-
-    grid = basis = gnet = None
-    state: StateFunction | None = None
-    decay = None
-    feats_all = None
-    clamp = False
-    if config.model == "static":
-        feats_all = static_features_batch(dataset)
-        if standardize:
-            static_std = Standardizer.fit(feats_all[train_idx])
-            feats_all = static_std.transform(feats_all)
-        n_ctr = feats_all.shape[1]
-    else:
-        decay = DecayParameter(config.decay_init, trainable=config.decay_trainable)
-        d_in = dataset.n_features
-        if config.model == "ctr-d":
-            # a configured range describes raw observations; once they are
-            # standardized the grid has to come from the prepped data instead
-            if config.value_range is None or standardize:
-                pooled = train_packed.rows
-                ranges = [(pooled[:, j].min(), pooled[:, j].max()) for j in range(d_in)]
-                clamp = True  # unseen records may step outside the training range
-                grid = build_grid(ranges, config.segments)
-            else:
-                grid = build_grid(config.value_range, config.segments, n_dims=d_in)
-            state = DiscreteStateFunction(grid, clamp=clamp)
-        elif config.model == "ctr-k":
-            points = sample_bases(train_packed.rows, config.n_bases, rng_bases)
-            basis = KernelBasisSet(points, gamma=config.gamma)
-            state = KernelStateFunction(basis)
-        else:
-            gnet = Mlp(
-                [d_in, *config.g_hidden, config.n_states],
-                out_activation="softmax",
-                batchnorm=config.batchnorm,
-                dropout=config.dropout,
-                rng=rng_ginit,
-            )
-            state = NeuralStateFunction(gnet)
-        n_ctr = state.n_states
-
-    n_dem = 0 if dem is None else dem.shape[1]
-    f = Mlp(
-        [n_ctr + n_dem, *config.f_hidden, 1],
-        out_activation="identity",
-        batchnorm=config.batchnorm,
-        dropout=config.dropout,
-        rng=rng_finit,
-    )
-
-    if config.model in ("ctr-d", "ctr-k"):
-        # fixed state functions: weigh every training row once, up front
-        train_packed = train_packed.with_weights(state)
-
-    return _Components(
-        config=config,
-        times=times,
-        censored=censored,
-        train_idx=train_idx,
-        val_idx=val_idx,
-        f=f,
-        gnet=gnet,
-        state=state,
-        decay=decay,
-        dem=dem,
-        feats_all=feats_all,
-        obs_std=obs_std,
-        dem_std=dem_std,
-        static_std=static_std,
-        train_packed=train_packed,
-        val_packed=val_packed,
-        rng_shuffle=rng_shuffle,
-        rng_dropout=rng_dropout,
-    )
-
-
 def train_model(dataset: SurvivalDataset, config: TrainConfig) -> TrainedModel:
     """Train one model; early-stops on validation C-index and returns the
     parameter snapshot that scored best there."""
     from .evaluation import c_index  # local import to avoid a module cycle
 
-    comp = _build_components(dataset, config)
+    comp = _Components(dataset, config)
     config = comp.config
     times, censored = comp.times, comp.censored
     train_idx, val_idx = comp.train_idx, comp.val_idx
-    f, gnet, decay = comp.f, comp.gnet, comp.decay
-
-    params = comp.params()
-    adam = AdamState(
-        lr=config.learning_rate, beta1=config.beta1, beta2=config.beta2,
-        eps=config.adam_eps,
-    )
+    adam = AdamState(lr=config.learning_rate, beta1=config.beta1, beta2=config.beta2,
+                     eps=config.adam_eps)
 
     local_order = np.arange(len(train_idx))
     history = []
@@ -572,50 +542,35 @@ def train_model(dataset: SurvivalDataset, config: TrainConfig) -> TrainedModel:
         for start in range(0, len(order), config.batch_size):
             batch_local = order[start : start + config.batch_size]
             batch_global = train_idx[batch_local]
-            loss, grads = comp.batch_loss_and_grads(
+            loss, grad = comp.batch_loss_and_grads(
                 comp.train_packed, batch_local, batch_global, comp.rng_dropout
             )
             if config.loss == "combined":
                 if not has_admissible_pair(times[batch_global], censored[batch_global]):
                     pairless += 1
-            _require_finite(loss, f"loss at epoch {epoch}")
-            for name, g in grads.items():
-                _require_finite(g, f"gradient {name} at epoch {epoch}")
-            adam_step(params, grads, adam)
+            comp.require_finite(loss, epoch)
+            adam_step(comp.vectors, grad, adam)
             batch_losses.append(loss)
 
         val_score = c_index(
             comp.predict_validation(), times[val_idx], censored[val_idx]
         )
-        history.append(
-            {
-                "epoch": epoch,
-                "train_loss": float(np.mean(batch_losses)),
-                "val_score": float(val_score),
-            }
-        )
+        history.append({"epoch": epoch, "train_loss": float(np.mean(batch_losses)),
+                        "val_score": float(val_score)})
         if val_score > best[0]:
             best = (val_score, epoch)
-            best_snap = {
-                "f": f.snapshot(),
-                "g": None if gnet is None else gnet.snapshot(),
-                "decay": None if decay is None else decay.snapshot(),
-            }
+            best_snap = [v.copy() for v in comp.states]
         if epoch - best[1] >= config.patience and epoch < config.epochs:
             break
 
-    if best_snap is not None:
-        f.restore(best_snap["f"])
-        if gnet is not None:
-            gnet.restore(best_snap["g"])
-        if decay is not None:
-            decay.restore(best_snap["decay"])
+    for v, snap in zip(comp.states, best_snap or ()):
+        v[...] = snap
 
     return TrainedModel(
         config=config,
-        predictor=f,
+        predictor=comp.f,
         state=comp.state,
-        decay=decay,
+        decay=comp.decay,
         obs_standardizer=comp.obs_std,
         dem_standardizer=comp.dem_std,
         static_standardizer=comp.static_std,
@@ -637,14 +592,15 @@ def gradient_check_model(dataset: SurvivalDataset, config: TrainConfig,
     and for ctr-n also g and the decay raw value when trainable.
     """
     config = replace(config, dropout=0.0)
-    comp = _build_components(dataset, config)
+    comp = _Components(dataset, config)
     local = np.arange(min(config.batch_size, len(comp.train_idx)))
     global_idx = comp.train_idx[local]
 
     def loss_and_grads():
-        return comp.batch_loss_and_grads(
+        loss, grad = comp.batch_loss_and_grads(
             comp.train_packed, local, global_idx, None, update_stats=False
         )
+        return loss, comp.grad_blocks(grad.copy())
 
     rng = np.random.default_rng(np.random.SeedSequence([config.seed, 0xC7EC]))
     return grad_check(comp.params(), loss_and_grads, eps=eps,

@@ -1,13 +1,15 @@
 """End-to-end coverage of the command-line surface, run in-process."""
 
+import csv
 import json
 
 import numpy as np
 import pytest
 
+from staytime import ObservationSequence, SurvivalDataset, SurvivalLabel
 from staytime.checkpoint import load_checkpoint
 from staytime.cli import main
-from staytime.data_io import read_dataset
+from staytime.data_io import read_dataset, write_dataset
 from staytime.representation import compute_ctr
 from staytime.states import DiscreteStateFunction, build_grid
 from staytime.training import TrainConfig
@@ -171,6 +173,33 @@ class TestFeaturize:
         assert code == 1
         assert len(stderr.splitlines()) == 1
         assert last_json(stderr)["error"] == "ConfigurationError"
+
+    def test_plain_ids_keep_the_unquoted_format(self, tmp_path, capsys, data_dir):
+        out = tmp_path / "feats"
+        assert run(capsys, "featurize", "--data", str(data_dir), "--out", str(out),
+                   "--static")[0] == 0
+        data = read_dataset(data_dir)
+        for name in ("features.csv", "static.csv"):
+            lines = (out / name).read_text().splitlines()
+            first = lines[1].split(",")
+            assert first[0] == data.record_ids[0]
+            assert ",".join([first[0], *(repr(float(v)) for v in first[1:])]) == lines[1]
+
+    def test_ids_with_commas_and_quotes_are_quoted(self, tmp_path, capsys):
+        rng = np.random.default_rng(3)
+        ids = ["p,000", 'q"1', "r2"]
+        seqs = [ObservationSequence(rng.uniform(-1, 1, size=(4, 2)), durations=np.ones(4),
+                                    record_id=rid) for rid in ids]
+        data_dir, out = tmp_path / "data", tmp_path / "feats"
+        write_dataset(SurvivalDataset(seqs, [SurvivalLabel(1.0 + i) for i in range(3)]),
+                      data_dir)
+        assert run(capsys, "featurize", "--data", str(data_dir), "--out", str(out),
+                   "--static")[0] == 0
+        for name in ("features.csv", "static.csv"):
+            with open(out / name, newline="") as fh:
+                rows = list(csv.reader(fh))
+            assert [row[0] for row in rows[1:]] == ids
+            assert {len(row) for row in rows} == {len(rows[0])}
 
     def test_bad_decay_rejected(self, tmp_path, capsys, data_dir):
         code, _, stderr = run(capsys, "featurize", "--data", str(data_dir),

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from staytime import AdamState, ConfigurationError, Mlp, adam_step, grad_check
-from staytime.nn import log_sigmoid, relu, softmax
+from staytime.nn import Workspace, log_sigmoid, relu, softmax
 
 
 def mse_closure(net, X, y, mode="eval", update_stats=False):
@@ -15,8 +15,8 @@ def mse_closure(net, X, y, mode="eval", update_stats=False):
         pred = out[:, 0]
         loss = float(np.mean((pred - y) ** 2))
         dpred = 2.0 * (pred - y) / len(y)
-        grads, _ = net.backward(dpred[:, None], cache)
-        return loss, grads
+        grad, _ = net.backward(dpred[:, None], cache)
+        return loss, net.blocks(grad)
 
     return loss_and_grads
 
@@ -50,8 +50,8 @@ class TestForward:
         X = np.random.default_rng(3).normal(size=(5, 4))
         np.testing.assert_array_equal(net.forward(X), X)
         assert net.params() == {}
-        grads, dx = net.backward(np.ones((5, 4)), {"layers": [], "final": {"inp": X}})
-        assert grads == {}
+        grad, dx = net.backward(np.ones((5, 4)), {"layers": [], "final": {"inp": X}})
+        assert grad.size == 0
         np.testing.assert_array_equal(dx, np.ones((5, 4)))
 
     def test_input_width_checked(self):
@@ -191,8 +191,8 @@ class TestBackward:
             out, cache = net.forward(X, mode="train", want_cache=True,
                                      update_stats=False)
             loss = float(np.sum((out - target) ** 2))
-            grads, _ = net.backward(2.0 * (out - target), cache)
-            return loss, grads
+            grad, _ = net.backward(2.0 * (out - target), cache)
+            return loss, net.blocks(grad)
 
         report = grad_check(net.params(), loss_and_grads)
         assert max(report.values()) < 1e-3
@@ -225,7 +225,7 @@ class TestAdam:
         g = np.array([0.5, -0.1, 2.0])
         state = AdamState(lr=1e-3)
         before = p.copy()
-        adam_step({"p": p}, {"p": g}, state)
+        adam_step([p], g, state)
         np.testing.assert_allclose(np.abs(p - before), 1e-3, rtol=1e-6)
         np.testing.assert_array_equal(np.sign(before - p), np.sign(g))
 
@@ -238,7 +238,7 @@ class TestAdam:
         state = AdamState(lr=0.01, beta1=0.9, beta2=0.999, eps=1e-8)
         for t in range(1, 6):
             g = rng.normal(size=7)
-            adam_step({"p": p}, {"p": g.copy()}, state)
+            adam_step([p], g.copy(), state)
             m = 0.9 * m + 0.1 * g
             v = 0.999 * v + 0.001 * g * g
             reference -= 0.01 * (m / (1 - 0.9 ** t)) / (np.sqrt(v / (1 - 0.999 ** t)) + 1e-8)
@@ -248,15 +248,39 @@ class TestAdam:
         rng = np.random.default_rng(17)
         net = Mlp([3, 4, 1], batchnorm=False, rng=rng)
         w_before = net.weights[0].copy()
-        grads = {k: np.ones_like(a) for k, a in net.params().items()}
-        adam_step(net.params(), grads, AdamState(lr=0.5))
+        adam_step([net.flat_params], np.ones(net.n_params), AdamState(lr=0.5))
         assert not np.allclose(net.weights[0], w_before)
+
+    def test_flat_step_is_bit_equal_to_per_block_steps(self):
+        # the per-block update that one flat step over the concatenated
+        # blocks replaced, kept here as the reference
+        rng = np.random.default_rng(19)
+        shapes = [(3, 4), (4,), (5, 2), (1,)]
+        blocks = [rng.normal(size=s) for s in shapes]
+        ref = [b.copy() for b in blocks]
+        m = [np.zeros_like(b) for b in blocks]
+        v = [np.zeros_like(b) for b in blocks]
+        lr, beta1, beta2, eps = 0.01, 0.9, 0.999, 1e-8
+        state = AdamState(lr=lr, beta1=beta1, beta2=beta2, eps=eps)
+        for t in range(1, 51):
+            grads = [rng.normal(size=s) * 10.0 ** rng.integers(-4, 4) for s in shapes]
+            adam_step(blocks, np.concatenate([g.ravel() for g in grads]), state)
+            for p, g, mb, vb in zip(ref, grads, m, v):
+                mb *= beta1
+                mb += (1 - beta1) * g
+                vb *= beta2
+                vb += (1 - beta2) * g * g
+                m_hat = mb / (1 - beta1 ** t)
+                v_hat = vb / (1 - beta2 ** t)
+                p -= lr * m_hat / (np.sqrt(v_hat) + eps)
+            for p, r in zip(blocks, ref):
+                np.testing.assert_array_equal(p, r)
 
     def test_shape_mismatch_rejected(self):
         from staytime import ContractError
 
         with pytest.raises(ContractError):
-            adam_step({"p": np.zeros(3)}, {"p": np.zeros(4)}, AdamState())
+            adam_step([np.zeros(3)], np.zeros(4), AdamState())
 
 
 class TestSnapshots:
@@ -266,9 +290,48 @@ class TestSnapshots:
         X = rng.normal(size=(16, 3))
         snap = net.snapshot()
         before = net.forward(X).copy()
-        grads = {k: np.ones_like(a) for k, a in net.params().items()}
-        adam_step(net.params(), grads, AdamState(lr=0.1))
+        adam_step([net.flat_params], np.ones(net.n_params), AdamState(lr=0.1))
         net.forward(X, mode="train")
         assert not np.allclose(net.forward(X), before)
         net.restore(snap)
         np.testing.assert_array_equal(net.forward(X), before)
+
+
+class TestWorkspace:
+    @pytest.mark.parametrize("out_activation", ["identity", "softmax"])
+    def test_reused_buffers_give_fresh_network_gradients(self, out_activation):
+        # a full batch, the short last batch, then a full batch again through
+        # one workspace, against a fresh network with fresh buffers each time
+        rng = np.random.default_rng(21)
+        net = Mlp([3, 16, 12, 5], out_activation=out_activation, dropout=0.5, rng=1)
+        work = Workspace(net)
+        for n in (64, 32, 64):
+            X = rng.normal(size=(n, 3))
+            dout = rng.normal(size=(n, 5))
+            seed = int(rng.integers(1 << 30))
+            fresh = Mlp.from_meta(net.meta())
+            fresh.restore(net.snapshot())
+            out, cache = net.forward(X, mode="train", rng=np.random.default_rng(seed),
+                                     want_cache=True, work=work)
+            grad, dx = net.backward(dout, cache)
+            f_out, f_cache = fresh.forward(X, mode="train", rng=np.random.default_rng(seed),
+                                           want_cache=True)
+            f_grad, f_dx = fresh.backward(dout, f_cache)
+            assert grad is work.grad
+            np.testing.assert_array_equal(out, f_out)
+            np.testing.assert_array_equal(grad, f_grad)
+            np.testing.assert_array_equal(dx, f_dx)
+            np.testing.assert_array_equal(net.flat, fresh.flat)  # running statistics
+
+    def test_flat_vector_views(self):
+        net = Mlp([3, 5, 4, 2], rng=2)
+        names = ["w0", "b0", "w1", "b1", "w2", "b2",
+                 "bn0_scale", "bn0_shift", "bn1_scale", "bn1_shift"]
+        assert list(net.params()) == names
+        assert list(net.state_arrays()) == names + [
+            "bn0_run_mean", "bn0_run_var", "bn1_run_mean", "bn1_run_var"]
+        assert net.n_params == sum(a.size for a in net.params().values())
+        for arr in net.state_arrays().values():
+            assert np.shares_memory(arr, net.flat)
+        net.flat_params[:] = 0.0
+        assert not net.weights[0].any() and net.bn_run_var[1].all()

@@ -1,24 +1,31 @@
 """Feature extraction, standardization, config plumbing, and the training loop."""
 
 import dataclasses
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from staytime import (
     ConfigurationError,
+    DivergenceError,
+    Mlp,
     ObservationSequence,
     SurvivalDataset,
     SurvivalLabel,
+    SynthConfig,
     ValidationError,
+    generate,
+    training,
 )
+from staytime.checkpoint import load_checkpoint, save_checkpoint
 from staytime.evaluation import c_index
 from staytime.training import (
     STATIC_QUANTILES,
     Standardizer,
     TrainConfig,
     TrainedModel,
-    _build_components,
+    _Components,
     hyper_search,
     split_validation,
     static_features,
@@ -292,7 +299,7 @@ class TestOnePathForScoringAndValidation:
     def test_predict_equals_validation_predictions(self, model, variant):
         data = with_demographics(toy_dataset(n=500, m=12, censor_rate=0.2))
         cfg = tiny_config(model, value_range=None, **self.VARIANTS[variant])
-        comp = _build_components(data, cfg)
+        comp = _Components(data, cfg)
         assert comp.val_packed.offsets[-1] > 1024
         model_view = TrainedModel(
             config=cfg, predictor=comp.f, state=comp.state, decay=comp.decay,
@@ -308,6 +315,126 @@ class TestOnePathForScoringAndValidation:
         data = toy_dataset(n=200, censor_rate=0.2)
         cfg = tiny_config(model, epochs=6, patience=6)
         trained = train_model(data, cfg)
-        val = data.subset(_build_components(data, cfg).val_idx)
+        val = data.subset(_Components(data, cfg).val_idx)
         score = c_index(trained.predict(val), val.event_times(), val.censor_mask())
         assert score == trained.best_val_score
+
+
+class TestStaticWithDemographics:
+    """The static summaries and the standardized demographics feed f on the
+    training, validation and scoring paths alike."""
+
+    @pytest.mark.parametrize("loss", ["squared", "combined"])
+    def test_train_predict_and_checkpoint_round_trip(self, tmp_path, loss):
+        data = with_demographics(toy_dataset(n=60))
+        cfg = tiny_config("static", loss=loss, epochs=3)
+        model = train_model(data, cfg)
+        assert model.predictor.layer_sizes[0] == 7 * 3 + 2
+        preds = model.predict(data)
+        assert preds.shape == (len(data),) and np.all(np.isfinite(preds))
+
+        comp = _Components(data, cfg)
+        view = TrainedModel(
+            config=cfg, predictor=comp.f, state=None, decay=None, obs_standardizer=None,
+            dem_standardizer=comp.dem_std, static_standardizer=comp.static_std,
+            history=[], best_epoch=0, best_val_score=0.0,
+        )
+        np.testing.assert_array_equal(
+            view.predict(data.subset(comp.val_idx)), comp.predict_validation())
+
+        save_checkpoint(model, tmp_path / "static.npz")
+        np.testing.assert_array_equal(load_checkpoint(tmp_path / "static.npz").predict(data),
+                                      preds)
+
+
+class TestDivergence:
+    """One finiteness check per step; a failure still names the loss or the
+    first non-finite gradient block, in params() order."""
+
+    def test_non_finite_loss_is_named(self, monkeypatch):
+        real = training.squared_loss
+        monkeypatch.setattr(training, "squared_loss",
+                            lambda p, t: (float("inf"), real(p, t)[1]))
+        with pytest.raises(DivergenceError, match=r"^non-finite value in loss at epoch 1$"):
+            train_model(toy_dataset(), tiny_config("ctr-d"))
+
+    def test_nan_through_the_backward_pass_names_f_first(self, monkeypatch):
+        real = training.squared_loss
+
+        def poisoned(preds, times):
+            loss, grad = real(preds, times)
+            grad[0] = np.nan
+            return loss, grad
+
+        monkeypatch.setattr(training, "squared_loss", poisoned)
+        with pytest.raises(DivergenceError,
+                           match=r"^non-finite value in gradient f/w0 at epoch 1$"):
+            train_model(toy_dataset(), tiny_config("ctr-n"))
+
+    def test_first_bad_block_of_g_is_named(self, monkeypatch):
+        real, calls = Mlp.backward, []
+
+        def poisoned(net, dout, cache):
+            grad, dx = real(net, dout, cache)
+            if net.out_activation == "softmax":
+                calls.append(1)
+                if len(calls) == 2:  # one batch per epoch: epoch 2
+                    blocks = net.blocks(grad)
+                    blocks["bn0_shift"][0] = np.inf
+                    blocks["b1"][-1] = np.nan
+            return grad, dx
+
+        monkeypatch.setattr(Mlp, "backward", poisoned)
+        with pytest.raises(DivergenceError,
+                           match=r"^non-finite value in gradient g/b1 at epoch 2$"):
+            train_model(toy_dataset(), tiny_config("ctr-n", batch_size=64))
+
+
+class TestTrainingMemory:
+    """The training step reuses its buffers, and a fit or a prediction keeps
+    nothing beyond what it returns.  Counts are of this process only."""
+
+    # a second 4-epoch fit on 1000 records measures about 5.7k minor faults,
+    # most from per-epoch validation (eval mode allocates) and the one-time
+    # workspaces; the per-batch allocations they replaced cost 58k-96k
+    FAULT_BUDGET = 15_000
+    SLACK = 64 * 1024  # bytes of interpreter bookkeeping a call may leave
+
+    def test_second_fit_stays_under_fault_budget(self):
+        import resource
+
+        data = generate(SynthConfig(seed=0, n_records=1000)).dataset
+        cfg = TrainConfig(model="ctr-n", loss="combined", seed=0, epochs=4, patience=4)
+        train_model(data, cfg)  # warm-up: imports, caches and the heap
+        before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+        train_model(data, cfg)
+        faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before
+        assert faults < self.FAULT_BUDGET
+
+    @staticmethod
+    def _held_by(call):
+        """(result, bytes still allocated after call returns)."""
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            result = call()
+            return result, tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+
+    def test_fit_leaves_only_the_model_behind(self):
+        data = generate(SynthConfig(seed=0, n_records=300)).dataset
+        cfg = TrainConfig(model="ctr-n", seed=0, epochs=2, patience=2)
+        train_model(data, cfg)
+        model, held = self._held_by(lambda: train_model(data, cfg))
+        # one g-net workspace buffer alone is 640 rows x 100 units x 8 bytes
+        assert held <= model.predictor.flat.nbytes + model.state.net.flat.nbytes + self.SLACK
+
+    def test_large_predict_holds_nothing(self):
+        model = train_model(generate(SynthConfig(seed=0, n_records=300)).dataset,
+                            TrainConfig(model="ctr-n", seed=0, epochs=1))
+        big = generate(SynthConfig(seed=1, n_records=2000)).dataset
+        assert big.offsets[-1] == 20_000
+        model.predict(big)
+        preds, held = self._held_by(lambda: model.predict(big))
+        assert held <= preds.nbytes + self.SLACK
