@@ -8,6 +8,7 @@ from .errors import (
     StayTimeError,
     UndefinedResultError,
     ValidationError,
+    WorkerError,
 )
 from .sequences import ObservationSequence, SurvivalDataset, SurvivalLabel, as_dataset
 from .states import (
@@ -43,6 +44,7 @@ from .evaluation import (
     FoldReport,
     PeriodBucketReport,
     c_index,
+    cross_validate,
     kfold_cv,
     period_stratified_improvement,
 )
@@ -84,6 +86,7 @@ __all__ = [
     "TrainedModel",
     "UndefinedResultError",
     "ValidationError",
+    "WorkerError",
     "adam_step",
     "as_dataset",
     "build_grid",
@@ -91,6 +94,7 @@ __all__ = [
     "combined_loss",
     "compute_ctr",
     "compute_ctr_batch",
+    "cross_validate",
     "decay_exponents",
     "generate",
     "grad_check",

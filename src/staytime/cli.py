@@ -31,7 +31,7 @@ from .data_io import (
     write_truth,
 )
 from .errors import ConfigurationError, StayTimeError, ValidationError
-from .evaluation import kfold_cv, period_stratified_improvement
+from .evaluation import cross_validate, default_jobs, kfold_cv, period_stratified_improvement
 from .reports import comparison_csv, period_csv, render_bar_chart, render_period_chart
 from .estimators import CtrFeaturizer
 from .synthgen import SynthConfig, generate
@@ -106,6 +106,26 @@ def _merged_options(args, config_cls) -> dict:
         if value is not None:
             merged[key] = value
     return merged
+
+
+def _positive_int(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        value = 0
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"expected a positive integer, got {text!r}")
+    return value
+
+
+def _add_jobs_flag(p: _Parser) -> None:
+    p.add_argument("--jobs", type=_positive_int,
+                   help="worker processes for the fits (default: the usable CPUs "
+                        "divided by the BLAS threads per process)")
+
+
+def _jobs(args) -> int:
+    return args.jobs if args.jobs is not None else default_jobs()
 
 
 def _add_synth_flags(p: _Parser) -> None:
@@ -247,7 +267,7 @@ def cmd_evaluate(args) -> int:
     data = read_dataset(args.data, forward_fill=args.forward_fill)
     out = _out_dir(args)
     out.mkdir(parents=True, exist_ok=True)
-    report = kfold_cv(data, cfg, k=args.k, seed=args.cv_seed)
+    report = kfold_cv(data, cfg, k=args.k, seed=args.cv_seed, jobs=_jobs(args))
     atomic_write_text(out / "scores.json",
                       json.dumps(report.to_dict(), indent=2, sort_keys=True) + "\n")
     _emit({
@@ -305,9 +325,11 @@ def cmd_bench(args) -> int:
     write_dataset(synth.dataset, data_dir, units_note="synthetic, unitless")
     write_truth(synth, data_dir)
 
+    slate = _bench_rows(cfg, train_overrides)
+    fold_reports = cross_validate(synth.dataset, [c for _, c in slate], k=args.k,
+                                  seed=args.cv_seed, jobs=_jobs(args))
     rows, reports, timing_rows = [], {}, []
-    for label, train_cfg in _bench_rows(cfg, train_overrides):
-        report = kfold_cv(synth.dataset, train_cfg, k=args.k, seed=args.cv_seed)
+    for (label, train_cfg), report in zip(slate, fold_reports):
         reports[label] = report
         rows.append({
             "label": label,
@@ -461,6 +483,7 @@ def build_parser() -> _Parser:
     p.add_argument("--k", type=int, default=5)
     p.add_argument("--cv-seed", type=int, default=0, dest="cv_seed")
     p.add_argument("--forward-fill", action="store_true", dest="forward_fill")
+    _add_jobs_flag(p)
     _add_train_flags(p)
     p.set_defaults(func=cmd_evaluate)
 
@@ -473,6 +496,7 @@ def build_parser() -> _Parser:
     p.add_argument("--epochs", type=int)
     p.add_argument("--patience", type=int)
     p.add_argument("--batch-size", type=int, dest="batch_size")
+    _add_jobs_flag(p)
     _add_synth_flags(p)
     p.set_defaults(func=cmd_bench)
 

@@ -27,3 +27,7 @@ class UndefinedResultError(StayTimeError):
 
 class DivergenceError(StayTimeError):
     """Training produced a non-finite loss or gradient."""
+
+
+class WorkerError(StayTimeError):
+    """A worker process of a parallel run died before returning its result."""

@@ -9,13 +9,17 @@ tied on time are not compared at all.
 
 from __future__ import annotations
 
+import os
+import pickle
+import tempfile
 import time as _time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .errors import UndefinedResultError, ValidationError
+from .errors import ConfigurationError, UndefinedResultError, ValidationError, WorkerError
 from .sequences import SurvivalDataset, as_float_array
+from .training import TrainConfig, default_grid, train_model
 
 # Inputs up to this many records are counted directly on (uncensored x all)
 # comparison masks, which is faster there than the sort-based count.  The
@@ -176,7 +180,8 @@ class FoldReport:
 
 
 def kfold_cv(dataset: SurvivalDataset, config, k: int = 5, seed: int = 0,
-             grid: list | None = None, stratify: bool | None = None) -> FoldReport:
+             grid: list | None = None, stratify: bool | None = None,
+             jobs: int = 1) -> FoldReport:
     """k-fold cross-validation with a per-fold hyperparameter search.
 
     The fold partition is drawn from `seed` alone, independent of the training
@@ -186,54 +191,233 @@ def kfold_cv(dataset: SurvivalDataset, config, k: int = 5, seed: int = 0,
     train_model); the winning model is scored on the held-out fold.  A fold
     without a single admissible pair gets a None score and a warning instead
     of a made-up number.  stratify=None stratifies by censoring whenever any
-    record is censored.
+    record is censored.  jobs is the number of worker processes (see
+    run_jobs); the report does not depend on it.
     """
-    from .training import hyper_search  # local import to avoid a module cycle
+    grids = None if grid is None else [grid]
+    return cross_validate(dataset, [config], k, seed, grids, stratify, jobs)[0]
 
+
+def cross_validate(dataset: SurvivalDataset, configs: list, k: int = 5, seed: int = 0,
+                   grids: list | None = None, stratify: bool | None = None,
+                   jobs: int = 1) -> list:
+    """kfold_cv of every config on one fold partition, as one job list.
+
+    There is one job per (config, fold, grid candidate), and all of them go
+    to one run_jobs call, longest first when jobs > 1.  The results are
+    merged in config, fold and grid order, and a fold keeps its earliest
+    best candidate, so the FoldReports are the same for every jobs value
+    (except wall_clock, each fold's summed job seconds).
+    """
     times = dataset.event_times()
     censored = dataset.censor_mask()
     if stratify is None:
         stratify = bool(censored.any())
     rng = np.random.default_rng(np.random.SeedSequence([seed, k]))
     folds = fold_assignments(len(dataset), k, rng, censored, stratify)
+    grids = [default_grid(c) if g is None else list(g)
+             for c, g in zip(configs, grids or [None] * len(configs))]
+    if not all(grids):
+        raise ConfigurationError("a hyperparameter grid needs at least one candidate")
 
-    scores, chosen, walls, test_idx_out, preds_out, warnings = [], [], [], [], [], []
-    for j, fold in enumerate(folds):
-        t0 = _time.perf_counter()
-        mask = np.ones(len(dataset), dtype=bool)
-        mask[fold] = False
-        train_set = dataset.subset(np.flatnonzero(mask))
-        result = hyper_search(train_set, config, grid)
-        preds = result.best_model.predict(dataset.subset(fold))
+    fit_jobs = [FitJob(replace(config, **overrides), fold)
+                for config, grid in zip(configs, grids)
+                for fold in folds for overrides in grid]
+    results = iter(run_jobs(dataset, fit_jobs, jobs))
+
+    reports = []
+    for config, grid in zip(configs, grids):
+        scores, chosen, walls, test_idx_out, preds_out, warnings = [], [], [], [], [], []
+        for j, fold in enumerate(folds):
+            fits = [next(results) for _ in grid]
+            best = first_best([f.score for f in fits])
+            preds = fits[best].predictions
+            try:
+                scores.append(float(c_index(preds, times[fold], censored[fold])))
+            except UndefinedResultError:
+                scores.append(None)
+                warnings.append(f"fold {j}: no admissible pairs, excluded from aggregation")
+            chosen.append(dict(grid[best]))
+            walls.append(sum(f.seconds for f in fits))
+            test_idx_out.append([int(i) for i in fold])
+            preds_out.append([float(p) for p in preds])
+        if not any(s is not None for s in scores):
+            raise UndefinedResultError("every fold lacked admissible pairs")
+        reports.append(FoldReport(
+            model=config.model,
+            k=k,
+            seed=seed,
+            scores=scores,
+            chosen=chosen,
+            wall_clock=walls,
+            test_indices=test_idx_out,
+            predictions=preds_out,
+            config=config.to_dict(),
+            warnings=warnings,
+        ))
+    return reports
+
+
+def first_best(scores) -> int:
+    """Index of the highest score; ties go to the earliest."""
+    return scores.index(max(scores))
+
+
+@dataclass(frozen=True)
+class FitJob:
+    """One train_model call: fit `config` on every record outside `test` (on
+    every record when test is None) and predict the records in `test`."""
+
+    config: TrainConfig
+    test: np.ndarray | None = None
+
+
+@dataclass(frozen=True)
+class FitResult:
+    """What a job sends back: never the model, whose parameter arrays are
+    views into one flat vector that pickling would not keep."""
+
+    score: float                     # the fit's best validation C-index
+    predictions: np.ndarray | None   # on the job's test records
+    seconds: float                   # the job's wall time, where it ran
+
+
+def fit_job(dataset: SurvivalDataset, job: FitJob):
+    """Run one job on dataset: (the trained model, its FitResult)."""
+    t0 = _time.perf_counter()
+    train_set, preds = dataset, None
+    if job.test is not None:
+        keep = np.ones(len(dataset), dtype=bool)
+        keep[job.test] = False
+        train_set = dataset.subset(np.flatnonzero(keep))
+    model = train_model(train_set, job.config)
+    if job.test is not None:
+        preds = model.predict(dataset.subset(job.test))
+    return model, FitResult(model.best_val_score, preds, _time.perf_counter() - t0)
+
+
+# A worker's dataset, read once by the pool initializer.
+_worker_dataset = None
+
+
+def _load_dataset(path) -> None:
+    """The pool initializer: read the dataset run_jobs pickled to path."""
+    global _worker_dataset
+    with open(path, "rb") as fh:
+        _worker_dataset = pickle.load(fh)
+
+
+def _run_job(job: FitJob) -> FitResult:
+    """A worker's entry point: one job on its dataset."""
+    return fit_job(_worker_dataset, job)[1]
+
+
+# Relative cost of one training epoch by model kind, as measured on the
+# bench slate; run_jobs only needs the order it gives.
+_EPOCH_COST = {"static": 1.0, "ctr-d": 1.0, "ctr-k": 2.0, "ctr-n": 8.0}
+
+
+def fit_cost(config: TrainConfig) -> float:
+    """Estimated relative run time of one fit, from its config alone: the
+    epoch cap times a per-kind epoch cost, CTR-N's state network the
+    dearest."""
+    return config.epochs * _EPOCH_COST[config.model]
+
+
+def usable_cpus() -> int:
+    """How many CPUs this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no sched_getaffinity on this platform
+        return os.cpu_count() or 1
+
+
+# where OpenBLAS reads its thread count, first match wins; unset, it runs
+# one thread per CPU
+_BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")
+
+
+def default_jobs() -> int:
+    """Worker processes that fill the usable CPUs without oversubscribing
+    them: the CPUs divided by the BLAS threads each process runs.  Two
+    workers of two BLAS threads each on two CPUs run slower than one."""
+    for var in _BLAS_THREAD_VARS:
+        value = os.environ.get(var, "").strip()
+        if value.isdigit() and int(value) > 0:
+            return max(1, usable_cpus() // int(value))
+    return 1
+
+
+def run_jobs(dataset: SurvivalDataset, jobs: list, workers: int = 1) -> list:
+    """The FitResult of every job, in job order.
+
+    workers=1 runs the jobs here, one after another, through fit_job.  More
+    run them through the same fit_job in that many spawn-start worker
+    processes (never more than there are jobs), longest first by fit_cost
+    (LPT scheduling, Graham 1969).  Each worker reads the dataset once and
+    inherits this process's environment, BLAS thread count included, so
+    every job computes the same bits wherever it runs.  If jobs fail, the
+    error raised is that of the earliest failing job in job order, the one
+    a serial run would raise.
+    """
+    workers = min(workers, len(jobs))
+    if workers <= 1:
+        return [fit_job(dataset, job)[1] for job in jobs]
+    return _run_pool(dataset, jobs, workers)
+
+
+def _run_pool(dataset, jobs, workers) -> list:
+    # imported here: the serial paths need neither module, nor their memory
+    import multiprocessing
+    from concurrent.futures import ProcessPoolExecutor
+    from concurrent.futures.process import BrokenProcessPool
+
+    # Workers read the dataset from a file.  Passed as an initializer
+    # argument, it would travel in the pipe that starts each worker, and a
+    # worker dying before it had read the pipe empty would block the start
+    # forever.
+    with tempfile.TemporaryDirectory(prefix="staytime-") as tmp:
+        path = os.path.join(tmp, "dataset.pickle")
+        with open(path, "wb") as fh:
+            pickle.dump(dataset, fh, protocol=pickle.HIGHEST_PROTOCOL)
         try:
-            scores.append(float(c_index(preds, times[fold], censored[fold])))
-        except UndefinedResultError:
-            scores.append(None)
-            warnings.append(f"fold {j}: no admissible pairs, excluded from aggregation")
-        chosen.append(result.candidates[_best_candidate(result)][0])
-        walls.append(_time.perf_counter() - t0)
-        test_idx_out.append([int(i) for i in fold])
-        preds_out.append([float(p) for p in preds])
-    if not any(s is not None for s in scores):
-        raise UndefinedResultError("every fold lacked admissible pairs")
-    return FoldReport(
-        model=config.model,
-        k=k,
-        seed=seed,
-        scores=scores,
-        chosen=chosen,
-        wall_clock=walls,
-        test_indices=test_idx_out,
-        predictions=preds_out,
-        config=config.to_dict(),
-        warnings=warnings,
-    )
+            with ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("spawn"),
+                                     initializer=_load_dataset, initargs=(path,)) as pool:
+                try:
+                    return _gather(pool, jobs)
+                except BaseException:
+                    # drop the jobs not started, then wait out the workers
+                    pool.shutdown(cancel_futures=True)
+                    raise
+        except BrokenProcessPool as exc:
+            raise WorkerError(f"a worker process died: {exc}") from None
 
 
-def _best_candidate(result) -> int:
-    scores = [s for _, s in result.candidates]
-    best = max(scores)
-    return scores.index(best)  # first winner, matching hyper_search's tie-break
+def _gather(pool, jobs) -> list:
+    """Submit the jobs longest first and return their results in job order,
+    or raise the error of the earliest failing job in job order."""
+    from concurrent.futures import as_completed
+
+    # sorted is stable: equal estimates keep job order
+    order = sorted(range(len(jobs)), key=lambda i: -fit_cost(jobs[i].config))
+    index = {pool.submit(_run_job, jobs[i]): i for i in order}
+    results, failed = [None] * len(jobs), None  # failed: (job, its error)
+    for future in as_completed(index):
+        i = index[future]
+        if future.cancelled():
+            continue
+        error = future.exception()
+        if error is None:
+            results[i] = future.result()
+        elif failed is None or i < failed[0]:
+            failed = (i, error)
+            # later jobs cannot hold the first error; earlier ones still run
+            for other, j in index.items():
+                if j > i:
+                    other.cancel()
+    if failed is not None:
+        raise failed[1]
+    return results
 
 
 @dataclass

@@ -156,12 +156,15 @@ def segment_ctr(u, W, starts, normalize: bool, scratch=None):
 def stay_time_matrix(packed: PackedRecords, state: StateFunction,
                      decay: float = 1.0, normalize: bool = False) -> np.ndarray:
     """(N, K) stay-time vectors of the packed records, one chunk at a time:
-    one state-function call and one segment sum per chunk."""
+    one state-function call and one segment sum per chunk.  Weights the
+    records already carry (with_weights, cut into the same chunks) stand in
+    for the state-function calls."""
     Z = np.empty((len(packed.offsets) - 1, state.n_states))
     u = packed.stay_times(decay)
     for lo, hi in packed.chunks():
         first, last = packed.offsets[lo], packed.offsets[hi]
-        W = state.weights_matrix(packed.rows[first:last])
+        W = (state.weights_matrix(packed.rows[first:last]) if packed.weights is None
+             else packed.weights[first:last])
         Z[lo:hi], _ = segment_ctr(u[first:last], W, packed.offsets[lo:hi] - first, normalize)
     return Z
 

@@ -399,8 +399,9 @@ class _Components:
             rng=rng_finit,
         )
         if config.model in ("ctr-d", "ctr-k"):
-            # fixed state functions: weigh every training row once, up front
+            # fixed state functions: weigh every training and validation row once, up front
             self.train_packed = self.train_packed.with_weights(self.state)
+            self.val_packed = self.val_packed.with_weights(self.state)
 
         nets = [net for net in (self.f, self.gnet) if net is not None]
         raw = [self.decay.raw] if self.decay is not None and self.decay.trainable else []
@@ -626,21 +627,18 @@ def hyper_search(dataset: SurvivalDataset, config: TrainConfig,
     """Exhaustive search over candidate overrides, scored by validation C-index.
 
     Candidates run in grid order with identical seeds, so they share the same
-    validation split; ties keep the earliest candidate.
+    validation split; ties keep the earliest candidate.  Each candidate is
+    one cross-validation job (evaluation.fit_job), run here.
     """
+    from .evaluation import FitJob, first_best, fit_job  # local import to avoid a module cycle
+
     if grid is None:
         grid = default_grid(config)
     if not grid:
         raise ConfigurationError("hyper_search needs at least one candidate")
-    best = None
-    candidates = []
-    for overrides in grid:
-        cfg = replace(config, **overrides)
-        model = train_model(dataset, cfg)
-        score = model.best_val_score
-        candidates.append((dict(overrides), float(score)))
-        if best is None or score > best[1]:
-            best = (model, score)
+    fits = [fit_job(dataset, FitJob(replace(config, **overrides))) for overrides in grid]
+    best = fits[first_best([result.score for _, result in fits])][0]
     return HyperSearchResult(
-        best_config=best[0].config, best_model=best[0], candidates=candidates
+        best_config=best.config, best_model=best,
+        candidates=[(dict(o), float(result.score)) for o, (_, result) in zip(grid, fits)],
     )

@@ -15,7 +15,14 @@ import numpy as np
 from staytime.cli import _bench_rows, main
 from staytime.checkpoint import load_checkpoint, save_checkpoint
 from staytime.errors import UndefinedResultError
-from staytime.evaluation import c_index, fold_assignments, kfold_cv, period_stratified_improvement
+from staytime.evaluation import (
+    c_index,
+    cross_validate,
+    fold_assignments,
+    kfold_cv,
+    period_stratified_improvement,
+    usable_cpus,
+)
 from staytime.nn import Mlp
 from staytime.reports import period_csv, render_period_chart
 from staytime.representation import compute_ctr, stay_times
@@ -49,10 +56,10 @@ def _verdict(num: int, name: str, ok: bool, detail: str = ""):
 def _slate_means(n_states: int) -> dict:
     cfg = SynthConfig(seed=0, n_records=1000, n_obs=10, n_states=n_states)
     synth = generate(cfg)
-    return {
-        label: kfold_cv(synth.dataset, tc, k=5, seed=0).mean
-        for label, tc in _bench_rows(cfg, {"seed": 0})
-    }
+    slate = _bench_rows(cfg, {"seed": 0})
+    reports = cross_validate(synth.dataset, [tc for _, tc in slate], k=5, seed=0,
+                             jobs=usable_cpus())
+    return {label: report.mean for (label, _), report in zip(slate, reports)}
 
 
 def _soft_clause(m: dict) -> bool:
@@ -60,7 +67,10 @@ def _soft_clause(m: dict) -> bool:
     return m["CTR-K"] > wrong and m["CTR-N"] > wrong
 
 
-def test_criterion_01_synthetic_ordering():
+def test_criterion_01_synthetic_ordering(monkeypatch):
+    # the slate's fits run in one worker per CPU, each on one BLAS thread,
+    # so no CPU is oversubscribed whatever the test environment sets
+    monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
     t0 = time.perf_counter()
     means = _slate_means(25)
     soft_by_k = {25: _soft_clause(means)}

@@ -2,10 +2,16 @@
 
 import csv
 import json
+import multiprocessing
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import staytime
 from staytime import ObservationSequence, SurvivalDataset, SurvivalLabel
 from staytime.checkpoint import load_checkpoint
 from staytime.cli import main
@@ -13,6 +19,8 @@ from staytime.data_io import read_dataset, write_dataset
 from staytime.representation import compute_ctr
 from staytime.states import DiscreteStateFunction, build_grid
 from staytime.training import TrainConfig
+
+from test_acceptance import STABLE_ARTIFACTS
 
 
 def run(capsys, *argv):
@@ -261,18 +269,13 @@ BENCH = ("bench", "--seed", "5", "--n-records", "60", "--n-obs", "6",
          "--k", "3", "--cv-seed", "2", "--epochs", "4", "--patience", "2",
          "--batch-size", "32")
 
-DETERMINISTIC_ARTIFACTS = (
-    "bench_report.json", "comparison.csv", "comparison.svg",
-    "period.csv", "period.svg",
-)
-
 
 class TestBenchAndReport:
     def test_artifacts_and_determinism(self, tmp_path, capsys):
         a, b = tmp_path / "a", tmp_path / "b"
         assert run(capsys, *BENCH, "--out", str(a))[0] == 0
         assert run(capsys, *BENCH, "--out", str(b))[0] == 0
-        for name in DETERMINISTIC_ARTIFACTS:
+        for name in STABLE_ARTIFACTS:
             assert (a / name).read_bytes() == (b / name).read_bytes(), name
         assert (a / "timings.json").exists()  # timing kept out of the stable set
         report = json.loads((a / "bench_report.json").read_text())
@@ -291,6 +294,68 @@ class TestBenchAndReport:
         assert code == 0
         for name in ("comparison.csv", "comparison.svg", "period.csv", "period.svg"):
             assert (rep / name).read_bytes() == (bench_dir / name).read_bytes()
+
+
+def one_error_line(stderr: str) -> dict:
+    assert "Traceback" not in stderr
+    lines = stderr.splitlines()
+    assert len(lines) == 1, stderr
+    return json.loads(lines[0])
+
+
+class TestJobs:
+    """--jobs N runs the fits of evaluate and bench in N worker processes."""
+
+    @pytest.mark.parametrize("command", ["evaluate", "bench"])
+    @pytest.mark.parametrize("value", ["0", "-1", "x"])
+    def test_bad_count_is_usage_error(self, tmp_path, capsys, data_dir, command, value):
+        argv = (("evaluate", "--data", str(data_dir), *FAST_TRAIN) if command == "evaluate"
+                else BENCH)
+        code, _, stderr = run(capsys, *argv, "--out", str(tmp_path / "o"), "--jobs", value)
+        assert code == 2
+        assert one_error_line(stderr)["error"] == "UsageError"
+
+    def test_error_in_a_worker_matches_the_serial_run(self, tmp_path, capsys, data_dir):
+        argv = ("evaluate", "--data", str(data_dir), "--k", "3", *FAST_TRAIN,
+                "--learning-rate", "1e4")
+        outcomes = {}
+        for jobs in ("1", "2"):
+            code, _, stderr = run(capsys, *argv, "--out", str(tmp_path / jobs), "--jobs", jobs)
+            outcomes[jobs] = (code, one_error_line(stderr))
+        assert outcomes["1"] == outcomes["2"]
+        assert outcomes["1"][0] == 1
+        assert outcomes["1"][1]["error"] == "DivergenceError"
+        assert multiprocessing.active_children() == []
+
+    def test_dead_worker_is_one_json_error(self, tmp_path, capsys, data_dir, monkeypatch):
+        # the dataset a worker receives unpickles into os._exit: it dies at start-up
+        monkeypatch.setattr(SurvivalDataset, "__reduce__", lambda self: (os._exit, (3,)),
+                            raising=False)
+        code, _, stderr = run(capsys, "evaluate", "--data", str(data_dir), "--k", "3",
+                              *FAST_TRAIN, "--out", str(tmp_path / "e"), "--jobs", "2")
+        assert code == 1
+        assert one_error_line(stderr)["error"] == "WorkerError"
+        assert multiprocessing.active_children() == []
+
+    def test_artifacts_do_not_depend_on_jobs(self, tmp_path, capsys, data_dir):
+        """The determinism contract, in fresh processes with one BLAS thread:
+        the stable bench artifacts, and scores.json but for its wall_clock,
+        are the same bytes for --jobs 1 and --jobs 2."""
+        env = dict(os.environ, OPENBLAS_NUM_THREADS="1",
+                   PYTHONPATH=str(Path(staytime.__file__).parents[1]))
+        evaluate = ("evaluate", "--data", str(data_dir), "--k", "3", *FAST_TRAIN)
+        for jobs in ("1", "2"):
+            for argv, out in ((BENCH, "bench"), (evaluate, "evaluate")):
+                subprocess.run([sys.executable, "-m", "staytime.cli", *argv, "--jobs", jobs,
+                                "--out", str(tmp_path / f"{out}{jobs}")],
+                               env=env, check=True, capture_output=True)
+        for name in STABLE_ARTIFACTS:
+            assert ((tmp_path / "bench1" / name).read_bytes()
+                    == (tmp_path / "bench2" / name).read_bytes()), name
+        one, two = (json.loads((tmp_path / f"evaluate{jobs}" / "scores.json").read_text())
+                    for jobs in ("1", "2"))
+        assert len(one.pop("wall_clock")) == len(two.pop("wall_clock")) == 3
+        assert one == two  # floats are written with repr, so equal values are equal bytes
 
 
 class TestGradcheck:

@@ -1,20 +1,33 @@
 """Concordance scoring, cross-validation folds, and period-bucketed comparison."""
 
+import multiprocessing
+import os
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from staytime import UndefinedResultError, ValidationError
+import staytime
+from staytime import DivergenceError, UndefinedResultError, ValidationError
 from staytime import evaluation
 from staytime.evaluation import (
+    FitJob,
     FoldReport,
     _DIRECT_COUNT_MAX,
     _pair_counts,
     c_index,
+    cross_validate,
+    default_jobs,
+    first_best,
+    fit_cost,
     fold_assignments,
     kfold_cv,
     period_stratified_improvement,
+    run_jobs,
+    usable_cpus,
 )
 from staytime.training import TrainConfig
 
@@ -235,6 +248,96 @@ class TestKFoldCV:
         assert again.model == rep.model
         for a, b in zip(again.predictions, rep.predictions):
             np.testing.assert_array_equal(a, b)
+
+
+class TestParallelJobs:
+    """Every fit of a cross-validation is one job; where it runs does not
+    change what it computes."""
+
+    def test_reports_do_not_depend_on_jobs(self):
+        data = toy_dataset(n=45)
+        configs = [tiny_config("ctr-k", gamma_grid=(0.1, 1.0, 10.0), epochs=3),
+                   tiny_config("ctr-n", epochs=3), tiny_config("static", epochs=3)]
+        serial = cross_validate(data, configs, k=3, seed=2)
+        parallel = cross_validate(data, configs, k=3, seed=2, jobs=2)
+        for a, b in zip(serial, parallel):
+            assert a.to_dict(include_timing=False) == b.to_dict(include_timing=False)
+        assert multiprocessing.active_children() == []
+
+    def test_slate_equals_one_kfold_cv_per_config(self):
+        data = toy_dataset(n=30)
+        configs = [tiny_config("ctr-d", epochs=3), tiny_config("ctr-k", epochs=3)]
+        slate = cross_validate(data, configs, k=3, seed=1)
+        for config, report in zip(configs, slate):
+            alone = kfold_cv(data, config, k=3, seed=1)
+            assert report.to_dict(include_timing=False) == alone.to_dict(include_timing=False)
+            assert len(report.wall_clock) == 3
+
+    def test_ties_keep_the_earliest_candidate(self):
+        assert first_best([0.5, 0.7, 0.7, 0.6]) == 1
+        data = toy_dataset(n=30)
+        # identical candidates score the same: the first must win every fold
+        rep = kfold_cv(data, tiny_config("ctr-d", epochs=3), k=3,
+                       grid=[{"patience": 4}, {"patience": 5}])
+        assert rep.chosen == [{"patience": 4}] * 3
+
+    def test_default_jobs_divide_the_cpus_by_the_blas_threads(self, monkeypatch):
+        for var in ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS"):
+            monkeypatch.delenv(var, raising=False)
+        assert default_jobs() == 1  # OpenBLAS then runs one thread per CPU
+        monkeypatch.setenv("OMP_NUM_THREADS", "1")
+        assert default_jobs() == usable_cpus()
+        monkeypatch.setenv("OPENBLAS_NUM_THREADS", str(usable_cpus()))
+        assert default_jobs() == 1  # OpenBLAS reads its own variable first
+        monkeypatch.setenv("OPENBLAS_NUM_THREADS", "64")
+        assert default_jobs() == 1
+
+    def test_longest_jobs_are_estimated_first(self):
+        costs = {m: fit_cost(tiny_config(m, epochs=10)) for m in ("ctr-n", "ctr-k", "ctr-d")}
+        assert costs["ctr-n"] > costs["ctr-k"] > costs["ctr-d"]
+        assert fit_cost(tiny_config("ctr-d", epochs=20)) > costs["ctr-d"]
+
+    def test_error_is_that_of_the_earliest_failing_job(self):
+        """The long job fails after the short one; both runs raise its error,
+        the one a serial run meets first."""
+        data = toy_dataset(n=30)
+        fold = np.arange(10)
+        jobs = [FitJob(tiny_config("ctr-d", epochs=30, learning_rate=1e4), fold),
+                FitJob(tiny_config("static", epochs=3, learning_rate=1e100), fold)]
+        errors = []
+        for workers in (1, 2):
+            with pytest.raises(DivergenceError) as info:
+                run_jobs(data, jobs, workers)
+            errors.append(str(info.value))
+        assert errors[0] == errors[1]
+        assert "decay/raw" in errors[0]
+        assert multiprocessing.active_children() == []
+
+    def test_worker_dying_at_start_up_is_an_error_not_a_hang(self, tmp_path):
+        """A script without a main guard makes every spawned worker rerun it
+        and die at start-up, here with a dataset larger than a pipe buffer."""
+        script = tmp_path / "unguarded.py"
+        script.write_text(
+            "from staytime import *\n"
+            "d = generate(SynthConfig(seed=0, n_records=400)).dataset\n"
+            "kfold_cv(d, TrainConfig(model='static', seed=0, epochs=2), k=2, jobs=2)\n")
+        env = dict(os.environ, PYTHONPATH=str(Path(staytime.__file__).parents[1]))
+        done = subprocess.run([sys.executable, str(script)], env=env, capture_output=True,
+                              text=True, timeout=60)
+        assert done.returncode != 0
+        assert "WorkerError: a worker process died" in done.stderr
+
+    def test_serial_runs_import_no_pool_machinery(self):
+        """The pool's modules cost memory; only a parallel run imports them."""
+        code = ("import sys; import staytime.cli; from staytime import *;"
+                "d = generate(SynthConfig(seed=0, n_records=30, n_obs=4)).dataset;"
+                "kfold_cv(d, TrainConfig(model='ctr-d', seed=0, epochs=2), k=2, jobs=1);"
+                "print(sorted(m for m in sys.modules"
+                " if m.startswith(('multiprocessing', 'concurrent'))))")
+        env = dict(os.environ, PYTHONPATH=str(Path(staytime.__file__).parents[1]))
+        out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                             capture_output=True, text=True).stdout
+        assert out.strip() == "[]"
 
 
 class TestPeriodBuckets:
