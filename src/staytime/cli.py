@@ -1,11 +1,13 @@
 """Command-line surface: generate | featurize | train | evaluate | bench |
 gradcheck | report.
 
-Every subcommand accepts --config pointing at a JSON file; explicit flags win
-over config-file values, which win over defaults.  Artifacts land in --out
-(default: $STAYTIME_OUT_DIR, falling back to the working directory), written
-atomically.  Failures print a machine-readable JSON record to stderr: usage
-problems exit 2, runtime problems exit 1.
+generate, train, evaluate and bench accept --config pointing at a JSON file
+of config fields; explicit flags win over config-file values, which win over
+defaults.  The flags are derived from the config dataclasses' fields; beta1,
+beta2 and adam_eps have none and are set only in a config file.  Artifacts
+land in --out (default: $STAYTIME_OUT_DIR, falling back to the working
+directory), written atomically.  Failures print a machine-readable JSON
+record to stderr: usage problems exit 2, runtime problems exit 1.
 """
 
 from __future__ import annotations
@@ -34,8 +36,15 @@ from .errors import ConfigurationError, StayTimeError, ValidationError
 from .evaluation import cross_validate, default_jobs, kfold_cv, period_stratified_improvement
 from .reports import comparison_csv, period_csv, render_bar_chart, render_period_chart
 from .estimators import CtrFeaturizer
-from .synthgen import SynthConfig, generate
-from .training import TrainConfig, gradient_check_model, static_features_batch, train_model
+from .synthgen import WEIGHT_PROFILES, SynthConfig, generate
+from .training import (
+    LOSS_KINDS,
+    MODEL_KINDS,
+    TrainConfig,
+    gradient_check_model,
+    static_features_batch,
+    train_model,
+)
 
 OUT_DIR_ENV = "STAYTIME_OUT_DIR"
 BENCH_REPORT_FILE = "bench_report.json"
@@ -128,48 +137,37 @@ def _jobs(args) -> int:
     return args.jobs if args.jobs is not None else default_jobs()
 
 
-def _add_synth_flags(p: _Parser) -> None:
-    p.add_argument("--seed", type=int, help="generator seed (required)")
-    p.add_argument("--n-records", type=int, dest="n_records")
-    p.add_argument("--n-obs", type=int, dest="n_obs")
-    p.add_argument("--n-dims", type=int, dest="n_dims")
-    p.add_argument("--n-states", type=int, dest="n_states")
-    p.add_argument("--noise-variance", type=float, dest="noise_variance")
-    p.add_argument("--weight-width", type=float, dest="weight_width")
-    p.add_argument("--weight-profile", choices=("index", "coordinate"),
-                   dest="weight_profile")
+# config fields set only through a config file: flags for them would add options
+FILE_ONLY = ("beta1", "beta2", "adam_eps")
+CHOICES = {"model": MODEL_KINDS, "loss": LOSS_KINDS, "weight_profile": WEIGHT_PROFILES}
+BENCH_TRAIN_FIELDS = ("epochs", "patience", "batch_size")
+FEATURIZE_FIELDS = ("segments", "value_range", "n_bases", "gamma")
+
+
+def _add_config_flags(p: _Parser, config_cls, names=None) -> None:
+    """A --field-name flag for each field of a config dataclass, or for the
+    named ones; unset flags stay None, so config-file values show through."""
+    hints = typing.get_type_hints(config_cls)
+    defaults = {f.name: f.default for f in dataclasses.fields(config_cls)}
+    for name in names or [n for n in defaults if n not in FILE_ONLY]:
+        flag = "--" + name.replace("_", "-")
+        kinds = typing.get_args(hints[name]) or (hints[name],)
+        if name in CHOICES:
+            p.add_argument(flag, choices=CHOICES[name])
+        elif bool in kinds:
+            p.add_argument(flag, action=argparse.BooleanOptionalAction)
+        elif name == "value_range":
+            p.add_argument(flag, type=float, nargs=2, metavar=("MIN", "MAX"))
+        elif kinds[0] is tuple:
+            p.add_argument(flag, type=type(defaults[name][0]), nargs="+")
+        else:
+            p.add_argument(flag, type=kinds[0])
 
 
 def _add_train_flags(p: _Parser) -> None:
-    p.add_argument("--model", choices=("ctr-d", "ctr-k", "ctr-n", "static"))
-    p.add_argument("--loss", choices=("squared", "combined"))
-    p.add_argument("--seed", type=int)
-    p.add_argument("--epochs", type=int)
-    p.add_argument("--batch-size", type=int, dest="batch_size")
-    p.add_argument("--learning-rate", type=float, dest="learning_rate")
-    p.add_argument("--decay-init", type=float, dest="decay_init")
-    p.add_argument("--decay-trainable", action=argparse.BooleanOptionalAction,
-                   default=None, dest="decay_trainable")
-    p.add_argument("--segments", type=int)
-    p.add_argument("--value-range", type=float, nargs=2, dest="value_range",
-                   metavar=("MIN", "MAX"))
+    _add_config_flags(p, TrainConfig)
     p.add_argument("--auto-range", action="store_true", default=None,
                    help="derive the grid range from the training data")
-    p.add_argument("--n-bases", type=int, dest="n_bases")
-    p.add_argument("--gamma", type=float)
-    p.add_argument("--gamma-grid", type=float, nargs="+", dest="gamma_grid")
-    p.add_argument("--n-states", type=int, dest="n_states")
-    p.add_argument("--f-hidden", type=int, nargs="+", dest="f_hidden")
-    p.add_argument("--g-hidden", type=int, nargs="+", dest="g_hidden")
-    p.add_argument("--dropout", type=float)
-    p.add_argument("--batchnorm", action=argparse.BooleanOptionalAction,
-                   default=None)
-    p.add_argument("--patience", type=int)
-    p.add_argument("--val-fraction", type=float, dest="val_fraction")
-    p.add_argument("--standardize", action=argparse.BooleanOptionalAction,
-                   default=None)
-    p.add_argument("--normalize-ctr", action=argparse.BooleanOptionalAction,
-                   default=None, dest="normalize_ctr")
 
 
 def _train_config(args) -> TrainConfig:
@@ -218,9 +216,8 @@ def cmd_featurize(args) -> int:
     out = _out_dir(args)
     out.mkdir(parents=True, exist_ok=True)
     # only the flags given; CtrFeaturizer holds the defaults and the checks
-    given = {"segments": args.segments, "n_bases": args.n_bases, "gamma": args.gamma,
-             "random_state": args.seed,
-             "value_range": None if args.value_range is None else tuple(args.value_range)}
+    given = {name: getattr(args, name) for name in FEATURIZE_FIELDS}
+    given["random_state"] = args.seed
     featurizer = CtrFeaturizer(
         kind=args.kind, clamp=args.clamp, decay=args.decay, normalize=args.normalize,
         **{name: value for name, value in given.items() if value is not None},
@@ -287,7 +284,7 @@ def _bench_rows(cfg: SynthConfig, overrides: dict):
     per_dim = cfg.segments_per_dim
     base = dict(loss="squared", seed=overrides.get("seed", cfg.seed))
     base.update(overrides)
-    rows = [
+    return [
         ("CTR-D-True", TrainConfig(model="ctr-d", segments=per_dim,
                                    value_range=(-1.0, 1.0), **base)),
         ("CTR-D-Minus", TrainConfig(model="ctr-d", segments=per_dim - 1,
@@ -298,7 +295,6 @@ def _bench_rows(cfg: SynthConfig, overrides: dict):
         ("CTR-N", TrainConfig(model="ctr-n", **base)),
         ("Static", TrainConfig(model="static", **base)),
     ]
-    return rows
 
 
 def _period_thresholds(dataset) -> list:
@@ -315,8 +311,7 @@ def cmd_bench(args) -> int:
     t_start = time.perf_counter()
     cfg = _synth_config(args)
     train_overrides = {
-        k: getattr(args, k) for k in ("epochs", "patience", "batch_size")
-        if getattr(args, k, None) is not None
+        k: getattr(args, k) for k in BENCH_TRAIN_FIELDS if getattr(args, k) is not None
     }
     train_overrides["seed"] = args.train_seed if args.train_seed is not None else cfg.seed
     out = _out_dir(args)
@@ -447,19 +442,15 @@ def build_parser() -> _Parser:
     p = sub.add_parser("generate", parents=[], help="write a synthetic benchmark dataset")
     p.add_argument("--config")
     p.add_argument("--out")
-    _add_synth_flags(p)
+    _add_config_flags(p, SynthConfig)
     p.set_defaults(func=cmd_generate)
 
     p = sub.add_parser("featurize", help="write per-record stay-time features")
     p.add_argument("--data", required=True)
     p.add_argument("--out")
     p.add_argument("--kind", choices=("grid", "kernel"), default="grid")
-    p.add_argument("--segments", type=int)
-    p.add_argument("--value-range", type=float, nargs=2, dest="value_range",
-                   metavar=("MIN", "MAX"))
+    _add_config_flags(p, TrainConfig, FEATURIZE_FIELDS)
     p.add_argument("--clamp", action="store_true")
-    p.add_argument("--n-bases", type=int, dest="n_bases")
-    p.add_argument("--gamma", type=float)
     p.add_argument("--seed", type=int)
     p.add_argument("--decay", type=float, default=1.0)
     p.add_argument("--normalize", action="store_true")
@@ -493,11 +484,9 @@ def build_parser() -> _Parser:
     p.add_argument("--k", type=int, default=5)
     p.add_argument("--cv-seed", type=int, default=0, dest="cv_seed")
     p.add_argument("--train-seed", type=int, dest="train_seed")
-    p.add_argument("--epochs", type=int)
-    p.add_argument("--patience", type=int)
-    p.add_argument("--batch-size", type=int, dest="batch_size")
+    _add_config_flags(p, TrainConfig, BENCH_TRAIN_FIELDS)
     _add_jobs_flag(p)
-    _add_synth_flags(p)
+    _add_config_flags(p, SynthConfig)
     p.set_defaults(func=cmd_bench)
 
     p = sub.add_parser("gradcheck", help="finite-difference gradient verification")

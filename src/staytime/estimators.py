@@ -18,13 +18,7 @@ from .errors import ConfigurationError, ValidationError
 from .evaluation import c_index
 from .representation import compute_ctr_batch
 from .sequences import SurvivalDataset, as_dataset, as_float_array
-from .states import (
-    DiscreteStateFunction,
-    KernelBasisSet,
-    KernelStateFunction,
-    build_grid,
-    sample_bases,
-)
+from .states import DiscreteStateFunction, KernelStateFunction
 from .training import TrainConfig, train_model
 
 
@@ -90,22 +84,12 @@ class CtrFeaturizer(ParamsMixin):
 
     def fit(self, X, y=None):
         pooled = as_dataset(X).rows
-        n_dims = pooled.shape[1]
         if self.kind == "grid":
-            if self.value_range is None:
-                ranges = tuple(
-                    (float(pooled[:, j].min()), float(pooled[:, j].max()))
-                    for j in range(n_dims)
-                )
-                grid = build_grid(ranges, self.segments)
-                self.state_ = DiscreteStateFunction(grid, clamp=True)
-            else:
-                grid = build_grid(self.value_range, self.segments, n_dims=n_dims)
-                self.state_ = DiscreteStateFunction(grid, clamp=self.clamp)
+            self.state_ = DiscreteStateFunction.fit(pooled, self.segments, self.value_range,
+                                                    self.clamp)
         elif self.kind == "kernel":
-            rng = np.random.default_rng(self.random_state)
-            bases = sample_bases(pooled, self.n_bases, rng)
-            self.state_ = KernelStateFunction(KernelBasisSet(bases, gamma=self.gamma))
+            self.state_ = KernelStateFunction.fit(pooled, self.n_bases, self.gamma,
+                                                  np.random.default_rng(self.random_state))
         else:
             raise ConfigurationError(f"unknown featurizer kind {self.kind!r}")
         self.n_states_ = self.state_.n_states

@@ -135,12 +135,6 @@ class Mlp:
         """Trainable parameters plus batch-norm running statistics."""
         return self.blocks(self.flat)
 
-    def snapshot(self) -> np.ndarray:
-        return self.flat.copy()
-
-    def restore(self, snap: np.ndarray):
-        self.flat[...] = snap
-
     def _bn_forward(self, i, a, mode, update_stats, xhat_out):
         """Batch norm of a, with xhat written to xhat_out (a fresh array when
         None).  The output goes over a unless xhat_out is None; train mode

@@ -309,10 +309,6 @@ class SurvivalDataset:
             raise ValidationError("this operation needs labels, but the dataset has none")
         return self._event_times, self._censored
 
-    def require_labels(self) -> list[SurvivalLabel]:
-        self._label_columns()
-        return self.labels
-
     def event_times(self) -> np.ndarray:
         return self._label_columns()[0].copy()
 

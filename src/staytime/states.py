@@ -198,6 +198,16 @@ class DiscreteStateFunction(StateFunction):
         self.grid = grid
         self.clamp = bool(clamp)
 
+    @classmethod
+    def fit(cls, rows, segments, value_range=None, clamp: bool = False):
+        """A grid over value_range, or, when it is None, over the ranges of the
+        pooled rows, clamped: unseen records may step outside those ranges."""
+        rows = as_float_array(rows, "pooled observations", 2)
+        if value_range is None:
+            ranges = [(rows[:, j].min(), rows[:, j].max()) for j in range(rows.shape[1])]
+            return cls(build_grid(ranges, segments), clamp=True)
+        return cls(build_grid(value_range, segments, n_dims=rows.shape[1]), clamp=clamp)
+
     @property
     def n_states(self) -> int:
         return self.grid.n_cells
@@ -213,6 +223,11 @@ class KernelStateFunction(StateFunction):
 
     def __init__(self, basis: KernelBasisSet):
         self.basis = basis
+
+    @classmethod
+    def fit(cls, rows, n_bases: int, gamma: float, rng):
+        """Bandwidth gamma around n_bases points drawn from the pooled rows."""
+        return cls(KernelBasisSet(sample_bases(rows, n_bases, rng), gamma=gamma))
 
     @property
     def n_states(self) -> int:

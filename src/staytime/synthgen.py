@@ -11,7 +11,7 @@ actual signal ceiling.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -63,13 +63,7 @@ class SynthConfig:
         return integer_root(self.n_states, self.n_dims)
 
     def to_dict(self) -> dict:
-        import dataclasses
-
-        return dataclasses.asdict(self)
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "SynthConfig":
-        return cls(**d)
+        return asdict(self)
 
 
 def lattice_weights(grid: SegmentGrid, width: float = 1.0,

@@ -23,15 +23,7 @@ from .errors import (
 from .nn import AdamState, Mlp, Workspace, adam_step, grad_check, log_sigmoid
 from .representation import DecayParameter, PackedRecords, segment_ctr, sigmoid, stay_time_matrix
 from .sequences import SurvivalDataset, as_dataset
-from .states import (
-    DiscreteStateFunction,
-    KernelBasisSet,
-    KernelStateFunction,
-    NeuralStateFunction,
-    StateFunction,
-    build_grid,
-    sample_bases,
-)
+from .states import DiscreteStateFunction, KernelStateFunction, NeuralStateFunction, StateFunction
 
 MODEL_KINDS = ("ctr-d", "ctr-k", "ctr-n", "static")
 LOSS_KINDS = ("squared", "combined")
@@ -146,10 +138,6 @@ class Standardizer:
             mean[binary] = 0.0
             scale[binary] = 1.0
         return cls(mean, scale)
-
-    @classmethod
-    def identity(cls, n: int) -> "Standardizer":
-        return cls(np.zeros(n), np.ones(n))
 
     def transform(self, rows: np.ndarray) -> np.ndarray:
         return (np.asarray(rows, dtype=float) - self.mean) / self.scale
@@ -363,25 +351,18 @@ class _Components:
             self.feats_all = _with_demographics(feats, self.dem)
         else:
             self.decay = DecayParameter(config.decay_init, trainable=config.decay_trainable)
-            d_in = dataset.n_features
             if config.model == "ctr-d":
                 # a configured range describes raw observations; once they are
                 # standardized the grid has to come from the prepped data instead
-                if config.value_range is None or standardize:
-                    pooled = self.train_packed.rows
-                    ranges = [(pooled[:, j].min(), pooled[:, j].max()) for j in range(d_in)]
-                    # unseen records may step outside the training range
-                    self.state = DiscreteStateFunction(build_grid(ranges, config.segments),
-                                                       clamp=True)
-                else:
-                    grid = build_grid(config.value_range, config.segments, n_dims=d_in)
-                    self.state = DiscreteStateFunction(grid, clamp=False)
+                self.state = DiscreteStateFunction.fit(
+                    self.train_packed.rows, config.segments,
+                    None if standardize else config.value_range)
             elif config.model == "ctr-k":
-                points = sample_bases(self.train_packed.rows, config.n_bases, rng_bases)
-                self.state = KernelStateFunction(KernelBasisSet(points, gamma=config.gamma))
+                self.state = KernelStateFunction.fit(
+                    self.train_packed.rows, config.n_bases, config.gamma, rng_bases)
             else:
                 self.gnet = Mlp(
-                    [d_in, *config.g_hidden, config.n_states],
+                    [dataset.n_features, *config.g_hidden, config.n_states],
                     out_activation="softmax",
                     batchnorm=config.batchnorm,
                     dropout=config.dropout,
@@ -525,47 +506,52 @@ def train_model(dataset: SurvivalDataset, config: TrainConfig) -> TrainedModel:
     parameter snapshot that scored best there."""
     from .evaluation import c_index  # local import to avoid a module cycle
 
-    comp = _Components(dataset, config)
-    config = comp.config
-    times, censored = comp.times, comp.censored
-    train_idx, val_idx = comp.train_idx, comp.val_idx
-    adam = AdamState(lr=config.learning_rate, beta1=config.beta1, beta2=config.beta2,
-                     eps=config.adam_eps)
+    # one scope per fit: a diverging fit fails through its finiteness checks
+    # as a DivergenceError, and numpy prints no warnings on the way
+    with np.errstate(all="ignore"):
+        comp = _Components(dataset, config)
+        config = comp.config
+        times, censored = comp.times, comp.censored
+        train_idx, val_idx = comp.train_idx, comp.val_idx
+        adam = AdamState(lr=config.learning_rate, beta1=config.beta1, beta2=config.beta2,
+                         eps=config.adam_eps)
 
-    local_order = np.arange(len(train_idx))
-    history = []
-    best = (-np.inf, -1)
-    best_snap = None
-    pairless = 0
-    for epoch in range(1, config.epochs + 1):
-        order = local_order[comp.rng_shuffle.permutation(len(local_order))]
-        batch_losses = []
-        for start in range(0, len(order), config.batch_size):
-            batch_local = order[start : start + config.batch_size]
-            batch_global = train_idx[batch_local]
-            loss, grad = comp.batch_loss_and_grads(
-                comp.train_packed, batch_local, batch_global, comp.rng_dropout
-            )
-            if config.loss == "combined":
-                if not has_admissible_pair(times[batch_global], censored[batch_global]):
-                    pairless += 1
-            comp.require_finite(loss, epoch)
-            adam_step(comp.vectors, grad, adam)
-            batch_losses.append(loss)
+        local_order = np.arange(len(train_idx))
+        history = []
+        best = (-np.inf, -1)
+        best_snap = None
+        pairless = 0
+        for epoch in range(1, config.epochs + 1):
+            order = local_order[comp.rng_shuffle.permutation(len(local_order))]
+            batch_losses = []
+            for start in range(0, len(order), config.batch_size):
+                batch_local = order[start : start + config.batch_size]
+                batch_global = train_idx[batch_local]
+                loss, grad = comp.batch_loss_and_grads(
+                    comp.train_packed, batch_local, batch_global, comp.rng_dropout
+                )
+                if config.loss == "combined":
+                    if not has_admissible_pair(times[batch_global], censored[batch_global]):
+                        pairless += 1
+                comp.require_finite(loss, epoch)
+                adam_step(comp.vectors, grad, adam)
+                batch_losses.append(loss)
 
-        val_score = c_index(
-            comp.predict_validation(), times[val_idx], censored[val_idx]
-        )
-        history.append({"epoch": epoch, "train_loss": float(np.mean(batch_losses)),
-                        "val_score": float(val_score)})
-        if val_score > best[0]:
-            best = (val_score, epoch)
-            best_snap = [v.copy() for v in comp.states]
-        if epoch - best[1] >= config.patience and epoch < config.epochs:
-            break
+            preds = comp.predict_validation()
+            if not np.isfinite(preds).all():
+                raise DivergenceError(
+                    f"non-finite value in validation predictions at epoch {epoch}")
+            val_score = c_index(preds, times[val_idx], censored[val_idx])
+            history.append({"epoch": epoch, "train_loss": float(np.mean(batch_losses)),
+                            "val_score": float(val_score)})
+            if val_score > best[0]:
+                best = (val_score, epoch)
+                best_snap = [v.copy() for v in comp.states]
+            if epoch - best[1] >= config.patience and epoch < config.epochs:
+                break
 
-    for v, snap in zip(comp.states, best_snap or ()):
-        v[...] = snap
+        for v, snap in zip(comp.states, best_snap or ()):
+            v[...] = snap
 
     return TrainedModel(
         config=config,

@@ -327,6 +327,17 @@ class TestJobs:
         assert outcomes["1"][1]["error"] == "DivergenceError"
         assert multiprocessing.active_children() == []
 
+    @pytest.mark.parametrize("model,learning_rate", [("ctr-n", "1e100"), ("ctr-d", "1e150")])
+    def test_divergence_is_the_only_stderr_line(self, tmp_path, data_dir, model, learning_rate):
+        # a fresh process, where numpy's warnings would reach stderr as text
+        env = dict(os.environ, PYTHONPATH=str(Path(staytime.__file__).parents[1]))
+        done = subprocess.run(
+            [sys.executable, "-m", "staytime.cli", "train", "--data", str(data_dir),
+             "--model", model, "--seed", "0", "--epochs", "3", "--learning-rate", learning_rate,
+             "--out", str(tmp_path / "o")], env=env, capture_output=True, text=True)
+        assert done.returncode == 1
+        assert one_error_line(done.stderr)["error"] == "DivergenceError"
+
     def test_dead_worker_is_one_json_error(self, tmp_path, capsys, data_dir, monkeypatch):
         # the dataset a worker receives unpickles into os._exit: it dies at start-up
         monkeypatch.setattr(SurvivalDataset, "__reduce__", lambda self: (os._exit, (3,)),

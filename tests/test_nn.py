@@ -288,12 +288,12 @@ class TestSnapshots:
         rng = np.random.default_rng(18)
         net = Mlp([3, 6, 1], batchnorm=True, dropout=0.0, rng=rng)
         X = rng.normal(size=(16, 3))
-        snap = net.snapshot()
+        snap = net.flat.copy()
         before = net.forward(X).copy()
         adam_step([net.flat_params], np.ones(net.n_params), AdamState(lr=0.1))
         net.forward(X, mode="train")
         assert not np.allclose(net.forward(X), before)
-        net.restore(snap)
+        net.flat[...] = snap
         np.testing.assert_array_equal(net.forward(X), before)
 
 
@@ -310,7 +310,7 @@ class TestWorkspace:
             dout = rng.normal(size=(n, 5))
             seed = int(rng.integers(1 << 30))
             fresh = Mlp.from_meta(net.meta())
-            fresh.restore(net.snapshot())
+            fresh.flat[...] = net.flat
             out, cache = net.forward(X, mode="train", rng=np.random.default_rng(seed),
                                      want_cache=True, work=work)
             grad, dx = net.backward(dout, cache)

@@ -214,3 +214,30 @@ class TestStateFunctions:
         assert DiscreteStateFunction(grid).n_states == 9
         assert KernelStateFunction(basis).n_states == 7
         assert NeuralStateFunction(net).n_states == 11
+
+
+class TestFit:
+    """The fixed state functions built from pooled training rows."""
+
+    def test_grid_over_a_declared_range(self):
+        rows = np.random.default_rng(3).uniform(-1, 1, size=(40, 2))
+        for clamp in (False, True):
+            state = DiscreteStateFunction.fit(rows, 4, (-2.0, 2.0), clamp=clamp)
+            assert state.clamp is clamp
+            for b in state.grid.boundaries:
+                np.testing.assert_array_equal(b, np.linspace(-2.0, 2.0, 5))
+
+    def test_grid_over_the_data_ranges_is_clamped(self):
+        rows = np.column_stack([np.linspace(-3, 5, 9), np.linspace(0, 1, 9)])
+        state = DiscreteStateFunction.fit(rows, (2, 3))
+        assert state.clamp
+        np.testing.assert_array_equal(state.grid.boundaries[0], [-3.0, 1.0, 5.0])
+        np.testing.assert_array_equal(state.grid.boundaries[1], np.linspace(0, 1, 4))
+        assert state.weights_matrix(np.array([[9.0, -1.0]])).argmax() == 3  # cell (1, 0)
+
+    def test_kernel_bases_are_sampled_rows(self):
+        pool = np.random.default_rng(6).normal(size=(30, 2))
+        state = KernelStateFunction.fit(pool, 8, 0.5, np.random.default_rng(42))
+        assert state.basis.gamma == 0.5
+        np.testing.assert_array_equal(
+            state.basis.bases, sample_bases(pool, 8, np.random.default_rng(42)))

@@ -32,7 +32,7 @@ class TestIntegerRoot:
 class TestSynthConfig:
     def test_roundtrip(self):
         cfg = SynthConfig(seed=5, n_states=49)
-        assert SynthConfig.from_dict(cfg.to_dict()) == cfg
+        assert SynthConfig(**cfg.to_dict()) == cfg
 
     def test_states_must_form_a_lattice(self):
         with pytest.raises(ConfigurationError):

@@ -115,10 +115,6 @@ class TestStandardizer:
         np.testing.assert_array_equal(Z[:, 0], X[:, 0])
         assert abs(Z[:, 1].mean()) < 1e-12
 
-    def test_identity(self):
-        X = np.arange(6.0).reshape(3, 2)
-        np.testing.assert_array_equal(Standardizer.identity(2).transform(X), X)
-
 
 class TestTrainConfig:
     def test_roundtrip_through_dict(self):
@@ -388,6 +384,16 @@ class TestDivergence:
         with pytest.raises(DivergenceError,
                            match=r"^non-finite value in gradient g/b1 at epoch 2$"):
             train_model(toy_dataset(), tiny_config("ctr-n", batch_size=64))
+
+    @pytest.mark.parametrize("model,learning_rate", [("ctr-n", 1e100), ("ctr-d", 1e150)])
+    def test_non_finite_validation_predictions(self, model, learning_rate):
+        # the steps stay finite but the validation predictions overflow; numpy
+        # warns about none of it (RuntimeWarnings are errors in this suite)
+        data = generate(SynthConfig(seed=11, n_records=50, n_obs=6)).dataset
+        config = TrainConfig(model=model, seed=0, epochs=3, learning_rate=learning_rate)
+        with pytest.raises(DivergenceError, match=r"^non-finite value in validation "
+                                                  r"predictions at epoch 1$"):
+            train_model(data, config)
 
 
 class TestTrainingMemory:
