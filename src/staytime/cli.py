@@ -27,6 +27,7 @@ from .checkpoint import save_checkpoint
 from .data_io import (
     atomic_write_text,
     csv_text,
+    json_text,
     read_dataset,
     write_dataset,
     write_history,
@@ -55,7 +56,7 @@ def _emit_error(kind: str, message: str) -> None:
 
 
 def _emit(payload: dict) -> None:
-    sys.stdout.write(json.dumps(payload, indent=2, sort_keys=True) + "\n")
+    sys.stdout.write(json_text(payload))
 
 
 class _Parser(argparse.ArgumentParser):
@@ -246,8 +247,7 @@ def cmd_train(args) -> int:
     model = train_model(data, cfg)
     save_checkpoint(model, out / "checkpoint.npz")
     write_history(model.history, out / "history.jsonl")
-    atomic_write_text(out / "config.json",
-                      json.dumps(cfg.to_dict(), indent=2, sort_keys=True) + "\n")
+    atomic_write_text(out / "config.json", json_text(cfg.to_dict()))
     _emit({
         "command": "train",
         "out": str(out),
@@ -265,8 +265,7 @@ def cmd_evaluate(args) -> int:
     out = _out_dir(args)
     out.mkdir(parents=True, exist_ok=True)
     report = kfold_cv(data, cfg, k=args.k, seed=args.cv_seed, jobs=_jobs(args))
-    atomic_write_text(out / "scores.json",
-                      json.dumps(report.to_dict(), indent=2, sort_keys=True) + "\n")
+    atomic_write_text(out / "scores.json", json_text(report.to_dict()))
     _emit({
         "command": "evaluate",
         "out": str(out),
@@ -324,17 +323,11 @@ def cmd_bench(args) -> int:
     fold_reports = cross_validate(synth.dataset, [c for _, c in slate], k=args.k,
                                   seed=args.cv_seed, jobs=_jobs(args))
     rows, reports, timing_rows = [], {}, []
-    for (label, train_cfg), report in zip(slate, fold_reports):
+    for (label, _), report in zip(slate, fold_reports):
         reports[label] = report
-        rows.append({
-            "label": label,
-            "model": train_cfg.model,
-            "mean": report.mean,
-            "stderr": report.stderr,
-            "scores": report.scores,
-            "chosen": report.chosen,
-            "config": train_cfg.to_dict(),
-        })
+        fields = report.to_dict()
+        rows.append({"label": label, **{key: fields[key] for key in (
+            "model", "mean", "stderr", "scores", "chosen", "config")}})
         timing_rows.append({"label": label, "wall_clock": report.wall_clock})
 
     period = period_stratified_improvement(
@@ -350,16 +343,12 @@ def cmd_bench(args) -> int:
         "period": period.to_dict(),
     }
     out.mkdir(parents=True, exist_ok=True)
-    atomic_write_text(out / BENCH_REPORT_FILE,
-                      json.dumps(bench_report, indent=2, sort_keys=True) + "\n")
-    atomic_write_text(out / "comparison.csv", comparison_csv(rows))
-    atomic_write_text(out / "comparison.svg", render_bar_chart(rows))
-    atomic_write_text(out / "period.csv", period_csv(period.to_dict()))
-    atomic_write_text(out / "period.svg", render_period_chart(period.to_dict()))
-    atomic_write_text(out / "timings.json", json.dumps({
+    atomic_write_text(out / BENCH_REPORT_FILE, json_text(bench_report))
+    _write_report(out, bench_report)
+    atomic_write_text(out / "timings.json", json_text({
         "rows": timing_rows,
         "total_seconds": time.perf_counter() - t_start,
-    }, indent=2, sort_keys=True) + "\n")
+    }))
 
     _emit({
         "command": "bench",
@@ -412,24 +401,28 @@ def cmd_gradcheck(args) -> int:
     return 0
 
 
+def _write_report(out: Path, bench: dict) -> list:
+    """Write the tables and charts of a bench_report.json dict into out, all
+    rendered before the first is written; returns the file names."""
+    texts = {"comparison.csv": comparison_csv(bench["rows"]),
+             "comparison.svg": render_bar_chart(bench["rows"])}
+    if bench.get("period"):
+        texts["period.csv"] = period_csv(bench["period"])
+        texts["period.svg"] = render_period_chart(bench["period"])
+    out.mkdir(parents=True, exist_ok=True)
+    for name, text in texts.items():
+        atomic_write_text(out / name, text)
+    return list(texts)
+
+
 def cmd_report(args) -> int:
+    out = _out_dir(args)
     try:
         bench = json.loads(Path(args.bench).read_text())  # ValueError if not JSON
-        if not isinstance(bench["rows"], list):
-            raise TypeError("rows is not a list")
-    except (ValueError, KeyError, TypeError) as exc:
+        written = _write_report(out, bench)
+    except (ValueError, KeyError, TypeError, ArithmeticError, ValidationError) as exc:
         raise ValidationError(
             f"{args.bench}: not a bench report ({type(exc).__name__}: {exc})") from None
-    out = _out_dir(args)
-    out.mkdir(parents=True, exist_ok=True)
-    written = []
-    atomic_write_text(out / "comparison.csv", comparison_csv(bench["rows"]))
-    atomic_write_text(out / "comparison.svg", render_bar_chart(bench["rows"]))
-    written += ["comparison.csv", "comparison.svg"]
-    if bench.get("period"):
-        atomic_write_text(out / "period.csv", period_csv(bench["period"]))
-        atomic_write_text(out / "period.svg", render_period_chart(bench["period"]))
-        written += ["period.csv", "period.svg"]
     _emit({"command": "report", "out": str(out), "files": written})
     return 0
 
@@ -491,9 +484,9 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("gradcheck", help="finite-difference gradient verification")
     p.add_argument("--seed", type=int)
-    p.add_argument("--seeds", type=int, default=3, help="number of seeds to run")
+    p.add_argument("--seeds", type=_positive_int, default=3, help="number of seeds to run")
     p.add_argument("--tolerance", type=float, default=1e-3)
-    p.add_argument("--max-entries", type=int, default=60, dest="max_entries",
+    p.add_argument("--max-entries", type=_positive_int, default=60, dest="max_entries",
                    help="coordinates probed per parameter block")
     p.set_defaults(func=cmd_gradcheck)
 

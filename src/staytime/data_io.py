@@ -20,7 +20,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import ValidationError
-from .sequences import SurvivalDataset, event_time_fault
+from .sequences import RecordFault, SurvivalDataset, event_time_fault
 from .states import SegmentGrid
 
 SCHEMA_VERSION = 1
@@ -44,6 +44,11 @@ def atomic_write_bytes(path, data: bytes) -> None:
     tmp = path.with_name(path.name + f".tmp{os.getpid()}")
     tmp.write_bytes(data)
     os.replace(tmp, path)
+
+
+def json_text(obj) -> str:
+    """The text of a JSON artifact: keys sorted, two-space indent, a final newline."""
+    return json.dumps(obj, indent=2, sort_keys=True) + "\n"
 
 
 def _floats(column: np.ndarray):
@@ -97,8 +102,7 @@ def write_dataset(dataset: SurvivalDataset, directory,
         atomic_write_text(directory / DEMOGRAPHICS_FILE, csv_text(
             ["record_id", *dem_cols], dataset.record_ids,
             *map(_floats, dataset.demographics.T)))
-    atomic_write_text(directory / MANIFEST_FILE,
-                      json.dumps(manifest, indent=2, sort_keys=True) + "\n")
+    atomic_write_text(directory / MANIFEST_FILE, json_text(manifest))
 
 
 def _fail(file, row, rule):
@@ -223,35 +227,36 @@ def read_dataset(directory, forward_fill: bool = False) -> SurvivalDataset:
         record.append(r)
 
     demographics = np.empty((len(ids), len(dem_cols)))
-    seen = np.zeros(len(ids), dtype=bool)
+    dem_row = np.zeros(len(ids), dtype=np.int64)  # each record's row in the file; 0 if none
     if dem_cols:
         for i, r, row in _table(directory / DEMOGRAPHICS_FILE, "unexpected header {found}",
                                 ["record_id", *dem_cols], index):
-            if seen[r]:
+            if dem_row[r]:
                 _fail(DEMOGRAPHICS_FILE, i, f"duplicate record_id {row[0]!r}")
-            seen[r] = True
+            dem_row[r] = i
             for j, (cell, column) in enumerate(zip(row[1:], dem_cols)):
                 demographics[r, j] = _parse_float(cell, DEMOGRAPHICS_FILE, i, column)
 
     record = np.frombuffer(record, dtype=np.int64)
     counts = np.bincount(record, minlength=len(ids))
-    empty, unseen = np.flatnonzero(counts == 0), np.flatnonzero(~seen)
+    empty, unseen = np.flatnonzero(counts == 0), np.flatnonzero(dem_row == 0)
     if empty.size:
         _fail(LABELS_FILE, 2 + empty[0], f"record {ids[empty[0]]!r} has no observation rows")
     if dem_cols and unseen.size:
         _fail(DEMOGRAPHICS_FILE, 1, f"record {ids[unseen[0]]!r} missing a demographics row")
     # group the rows by record, in label order, each record's rows in file order
-    table = np.frombuffer(values).reshape(-1, len(expected) - 1)[np.argsort(record, kind="stable")]
+    order = np.argsort(record, kind="stable")
+    table = np.frombuffer(values).reshape(-1, len(expected) - 1)[order]
     try:
         return SurvivalDataset._from_columns(
             rows=table[:, 1 : 1 + len(feature_cols)], timestamps=table[:, 0],
             offsets=np.concatenate(([0], np.cumsum(counts))), record_ids=ids,
             durations=table[:, -1] if has_durations else None,
             demographics=demographics, event_times=times, censored=censored)
-    except ValidationError as exc:
-        if not ids:
-            raise  # no records at all: no record's rows to blame
-        _fail(OBSERVATIONS_FILE, 1, str(exc))
+    except RecordFault as fault:
+        if fault.row is None:
+            _fail(DEMOGRAPHICS_FILE, dem_row[fault.record], str(fault))
+        _fail(OBSERVATIONS_FILE, 2 + order[fault.row], str(fault))
 
 
 def write_truth(synth, directory) -> None:
@@ -264,8 +269,7 @@ def write_truth(synth, directory) -> None:
         "weights": [float(v) for v in synth.weights],
         "noise_free": dict(zip(synth.dataset.record_ids.tolist(), synth.noise_free.tolist())),
     }
-    atomic_write_text(directory / TRUTH_FILE,
-                      json.dumps(payload, indent=2, sort_keys=True) + "\n")
+    atomic_write_text(directory / TRUTH_FILE, json_text(payload))
 
 
 def read_truth(directory) -> dict:

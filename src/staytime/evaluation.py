@@ -116,6 +116,13 @@ def fold_assignments(n: int, k: int, rng, censored=None, stratify: bool = False)
     return [np.sort(np.concatenate(f)).astype(int) for f in folds]
 
 
+def _stderr(values) -> float:
+    """Standard error of the mean of values; 0.0 for fewer than two."""
+    if len(values) < 2:
+        return 0.0
+    return float(np.std(values, ddof=1) / np.sqrt(len(values)))
+
+
 @dataclass
 class FoldReport:
     """Per-fold scores and predictions; aggregates never replace the folds."""
@@ -140,10 +147,7 @@ class FoldReport:
 
     @property
     def stderr(self) -> float:
-        valid = self._valid_scores()
-        if len(valid) < 2:
-            return 0.0
-        return float(np.std(valid, ddof=1) / np.sqrt(len(valid)))
+        return _stderr(self._valid_scores())
 
     def to_dict(self, include_timing: bool = True) -> dict:
         out = {
@@ -438,10 +442,7 @@ class PeriodBucketReport:
 
     @property
     def stderrs(self) -> list:
-        return [
-            float(np.std(d, ddof=1) / np.sqrt(len(d))) if len(d) > 1 else 0.0
-            for d in self.fold_diffs
-        ]
+        return [_stderr(d) for d in self.fold_diffs]
 
     def to_dict(self) -> dict:
         return {
@@ -454,17 +455,6 @@ class PeriodBucketReport:
             "n_records": [int(c) for c in self.n_records],
             "warnings": list(self.warnings),
         }
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "PeriodBucketReport":
-        return cls(
-            model_a=d["model_a"],
-            model_b=d["model_b"],
-            thresholds=list(d["thresholds"]),
-            fold_diffs=[list(x) for x in d["fold_diffs"]],
-            n_records=list(d["n_records"]),
-            warnings=list(d.get("warnings", [])),
-        )
 
 
 def period_stratified_improvement(report_a: FoldReport, report_b: FoldReport,

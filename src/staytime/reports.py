@@ -15,6 +15,8 @@ import io
 from .errors import ValidationError
 
 SVG_W, SVG_H = 640, 400
+LEFT, RIGHT, TOP = 70, 20, 40  # plot margins; each chart sets its own bottom one
+PLOT_W = SVG_W - LEFT - RIGHT
 
 
 def comparison_csv(rows: list) -> str:
@@ -60,43 +62,54 @@ def _axis(lo: float, hi: float):
     return lo, hi, ticks
 
 
-def _svg_open(title: str) -> list:
-    return [
+def _svg_chart(title: str, ticks: list, y, tick_format: str, plot_h: int, body: list) -> str:
+    """A chart's SVG text: the frame (title, gridlines with tick labels in
+    tick_format, both axes) around the body elements; y maps a value to its
+    height in the drawing."""
+    parts = [
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{SVG_W}" height="{SVG_H}" '
         f'viewBox="0 0 {SVG_W} {SVG_H}" font-family="sans-serif">',
         f'<rect width="{SVG_W}" height="{SVG_H}" fill="white"/>',
         f'<text x="{SVG_W / 2:.1f}" y="24" font-size="16" text-anchor="middle">{title}</text>',
     ]
+    for t in ticks:
+        parts.append(
+            f'<line x1="{LEFT}" y1="{y(t):.2f}" x2="{SVG_W - RIGHT}" y2="{y(t):.2f}" '
+            f'stroke="#dddddd" stroke-width="1"/>'
+        )
+        parts.append(
+            f'<text x="{LEFT - 8}" y="{y(t) + 4:.2f}" font-size="11" '
+            f'text-anchor="end">{t:{tick_format}}</text>'
+        )
+    parts += body
+    parts.append(
+        f'<line x1="{LEFT}" y1="{TOP}" x2="{LEFT}" y2="{TOP + plot_h}" stroke="black"/>'
+    )
+    parts.append(
+        f'<line x1="{LEFT}" y1="{TOP + plot_h}" x2="{SVG_W - RIGHT}" '
+        f'y2="{TOP + plot_h}" stroke="black"/>'
+    )
+    parts.append("</svg>")
+    return "\n".join(parts) + "\n"
 
 
 def render_bar_chart(rows: list, title: str = "C-index by model") -> str:
     """Bar chart of mean C-index per model with stderr whiskers."""
     if not rows:
         raise ValidationError("no rows to chart")
-    left, right, top, bottom = 70, 20, 40, 80
-    plot_w = SVG_W - left - right
-    plot_h = SVG_H - top - bottom
+    plot_h = SVG_H - TOP - 80
     lo = min(r["mean"] - r["stderr"] for r in rows)
     hi = max(r["mean"] + r["stderr"] for r in rows)
     lo, hi, ticks = _axis(min(lo, 0.5), hi)
 
     def y(v):
-        return top + plot_h * (hi - v) / (hi - lo)
+        return TOP + plot_h * (hi - v) / (hi - lo)
 
-    parts = _svg_open(title)
-    for t in ticks:
-        parts.append(
-            f'<line x1="{left}" y1="{y(t):.2f}" x2="{SVG_W - right}" y2="{y(t):.2f}" '
-            f'stroke="#dddddd" stroke-width="1"/>'
-        )
-        parts.append(
-            f'<text x="{left - 8}" y="{y(t) + 4:.2f}" font-size="11" '
-            f'text-anchor="end">{t:.2f}</text>'
-        )
-    slot = plot_w / len(rows)
+    parts = []
+    slot = PLOT_W / len(rows)
     bar_w = slot * 0.6
     for i, row in enumerate(rows):
-        cx = left + slot * (i + 0.5)
+        cx = LEFT + slot * (i + 0.5)
         x0 = cx - bar_w / 2
         parts.append(
             f'<rect x="{x0:.2f}" y="{y(row["mean"]):.2f}" width="{bar_w:.2f}" '
@@ -119,19 +132,11 @@ def render_bar_chart(rows: list, title: str = "C-index by model") -> str:
             f'text-anchor="middle">{row["mean"]:.4f}</text>'
         )
         parts.append(
-            f'<text x="{cx:.2f}" y="{top + plot_h + 16}" font-size="11" '
-            f'text-anchor="middle" transform="rotate(-25 {cx:.2f} {top + plot_h + 16})">'
+            f'<text x="{cx:.2f}" y="{TOP + plot_h + 16}" font-size="11" '
+            f'text-anchor="middle" transform="rotate(-25 {cx:.2f} {TOP + plot_h + 16})">'
             f'{row["label"]}</text>'
         )
-    parts.append(
-        f'<line x1="{left}" y1="{top}" x2="{left}" y2="{top + plot_h}" stroke="black"/>'
-    )
-    parts.append(
-        f'<line x1="{left}" y1="{top + plot_h}" x2="{SVG_W - right}" '
-        f'y2="{top + plot_h}" stroke="black"/>'
-    )
-    parts.append("</svg>")
-    return "\n".join(parts) + "\n"
+    return _svg_chart(title, ticks, y, ".2f", plot_h, parts)
 
 
 def render_period_chart(report: dict, title: str = "Improvement by observation period") -> str:
@@ -141,9 +146,7 @@ def render_period_chart(report: dict, title: str = "Improvement by observation p
     stderrs = report["stderrs"]
     if not thresholds:
         raise ValidationError("report has no period buckets to chart")
-    left, right, top, bottom = 70, 20, 40, 60
-    plot_w = SVG_W - left - right
-    plot_h = SVG_H - top - bottom
+    plot_h = SVG_H - TOP - 60
     lo = min(m - s for m, s in zip(means, stderrs))
     hi = max(m + s for m, s in zip(means, stderrs))
     lo, hi, ticks = _axis(min(lo, 0.0), max(hi, 0.0))
@@ -151,25 +154,15 @@ def render_period_chart(report: dict, title: str = "Improvement by observation p
     span = (x_hi - x_lo) or 1.0
 
     def x(v):
-        return left + plot_w * (v - x_lo) / span
+        return LEFT + PLOT_W * (v - x_lo) / span
 
     def y(v):
-        return top + plot_h * (hi - v) / (hi - lo)
+        return TOP + plot_h * (hi - v) / (hi - lo)
 
-    parts = _svg_open(title)
-    for t in ticks:
-        parts.append(
-            f'<line x1="{left}" y1="{y(t):.2f}" x2="{SVG_W - right}" y2="{y(t):.2f}" '
-            f'stroke="#dddddd" stroke-width="1"/>'
-        )
-        parts.append(
-            f'<text x="{left - 8}" y="{y(t) + 4:.2f}" font-size="11" '
-            f'text-anchor="end">{t:.3f}</text>'
-        )
-    parts.append(
-        f'<line x1="{left}" y1="{y(0):.2f}" x2="{SVG_W - right}" y2="{y(0):.2f}" '
+    parts = [
+        f'<line x1="{LEFT}" y1="{y(0):.2f}" x2="{SVG_W - RIGHT}" y2="{y(0):.2f}" '
         f'stroke="#888888" stroke-width="1" stroke-dasharray="4 3"/>'
-    )
+    ]
     points = " ".join(f"{x(t):.2f},{y(m):.2f}" for t, m in zip(thresholds, means))
     parts.append(
         f'<polyline points="{points}" fill="none" stroke="#b04030" stroke-width="2"/>'
@@ -184,15 +177,7 @@ def render_period_chart(report: dict, title: str = "Improvement by observation p
             f'<circle cx="{x(t):.2f}" cy="{y(m):.2f}" r="3.5" fill="#b04030"/>'
         )
         parts.append(
-            f'<text x="{x(t):.2f}" y="{top + plot_h + 16}" font-size="11" '
+            f'<text x="{x(t):.2f}" y="{TOP + plot_h + 16}" font-size="11" '
             f'text-anchor="middle">{t:g}</text>'
         )
-    parts.append(
-        f'<line x1="{left}" y1="{top}" x2="{left}" y2="{top + plot_h}" stroke="black"/>'
-    )
-    parts.append(
-        f'<line x1="{left}" y1="{top + plot_h}" x2="{SVG_W - right}" '
-        f'y2="{top + plot_h}" stroke="black"/>'
-    )
-    parts.append("</svg>")
-    return "\n".join(parts) + "\n"
+    return _svg_chart(title, ticks, y, ".3f", plot_h, parts)

@@ -69,8 +69,7 @@ class DecayParameter:
 
 def decay_exponents(seq: ObservationSequence) -> np.ndarray:
     """Exponent t_M - t_m applied to the decay factor for each observation."""
-    t = seq.timestamps
-    return t[-1] - t
+    return PackedRecords.pack([seq]).exponents
 
 
 def stay_times(seq: ObservationSequence, decay: float = 1.0) -> np.ndarray:
@@ -81,10 +80,7 @@ def stay_times(seq: ObservationSequence, decay: float = 1.0) -> np.ndarray:
     override when present.  decay = 1 returns the plain stay times.
     """
     decay = DecayParameter(decay).value  # rejects values outside (0, 1]
-    base = seq.gaps()
-    if decay == 1.0:
-        return base
-    return base * decay ** decay_exponents(seq)
+    return PackedRecords.pack([seq]).stay_times(decay)
 
 
 @dataclass

@@ -36,10 +36,22 @@ def as_float_array(values, name: str, ndim: int) -> np.ndarray:
     return arr
 
 
+class RecordFault(ValidationError):
+    """A record of a column layout breaks a value rule: record is its index,
+    row the first row of the columns that breaks the rule (None for the rule
+    on demographics)."""
+
+    def __init__(self, message, record=None, row=None):
+        super().__init__(message)
+        self.record, self.row = record, row
+
+
 def _check_records(rows, timestamps, offsets, durations, has_durations, demographics):
     """The rules on a record's values, applied to every record of a column
     layout at once.  Returns the stay time of every row, and the first record
-    that breaks a rule, with the first rule it breaks (None if none does).
+    that breaks a rule as (record, row, rule): the first rule it breaks and
+    the first row of the columns, inside the record, that breaks it (None for
+    the rule on demographics).  The fault is None when no record breaks a rule.
 
     A row's stay time is its durations entry when has_durations flags its
     record, otherwise the gap to the previous timestamp (time zero before
@@ -53,25 +65,31 @@ def _check_records(rows, timestamps, offsets, durations, has_durations, demograp
     given = np.repeat(has_durations, np.diff(offsets))
     gaps = stay if durations is None else np.where(given, durations, stay)
 
-    def in_record(row_mask):
-        return np.logical_or.reduceat(row_mask, first)
+    def in_record(rows_of):
+        return np.logical_or.reduceat(rows_of(slice(None)), first)
 
-    rules = (
-        ("observations contains non-finite entries", in_record(~np.isfinite(rows).all(axis=1))),
-        ("durations contains non-finite entries", in_record(given & ~np.isfinite(gaps))),
-        ("durations must all be positive", in_record(given & (gaps <= 0))),
-        ("timestamps contains non-finite entries", in_record(~np.isfinite(timestamps))),
-        ("timestamps must be nonnegative", in_record(timestamps < 0)),
-        ("timestamps must be strictly increasing", in_record(~rising)),
+    rules = (  # (rule, the rows of a slice of the columns that break it, or the records)
+        ("observations contains non-finite entries", lambda s: ~np.isfinite(rows[s]).all(axis=1)),
+        ("durations contains non-finite entries", lambda s: given[s] & ~np.isfinite(gaps[s])),
+        ("durations must all be positive", lambda s: given[s] & (gaps[s] <= 0)),
+        ("timestamps contains non-finite entries", lambda s: ~np.isfinite(timestamps[s])),
+        ("timestamps must be nonnegative", lambda s: timestamps[s] < 0),
+        ("timestamps must be strictly increasing", lambda s: ~rising[s]),
         ("first timestamp must be positive (stay times must be positive)",
          ~has_durations & (timestamps[first] <= 0)),
         ("demographics contains non-finite entries", ~np.isfinite(demographics).all(axis=1)),
     )
-    broken = np.array([mask for _, mask in rules])
+    broken = np.array([in_record(m) if callable(m) else m for _, m in rules])
     faulty = np.flatnonzero(broken.any(axis=0))
     if not faulty.size:
         return gaps, None
-    return gaps, (faulty[0], rules[int(np.argmax(broken[:, faulty[0]]))][0])
+    r = int(faulty[0])
+    rule, breaks = rules[int(np.argmax(broken[:, r]))]
+    a, b = offsets[r], offsets[r + 1]
+    if callable(breaks):
+        return gaps, (r, int(a + np.argmax(breaks(slice(a, b)))), rule)
+    # the first-timestamp rule is on the record's first row; demographics on none
+    return gaps, (r, None if rule.startswith("demographics") else int(a), rule)
 
 
 @dataclass(frozen=True)
@@ -103,12 +121,12 @@ class ObservationSequence:
         ts = np.cumsum(dur) if self.timestamps is None else self.timestamps
         ts = _shaped(ts, "timestamps", 1, m)
         dem = None if self.demographics is None else _shaped(self.demographics, "demographics", 1)
-        _, fault = _check_records(obs, ts, np.array([0, m]), dur, np.array([dur is not None]),
-                                  np.empty((1, 0)) if dem is None else dem[None])
+        gaps, fault = _check_records(obs, ts, np.array([0, m]), dur, np.array([dur is not None]),
+                                     np.empty((1, 0)) if dem is None else dem[None])
         if fault:
-            raise ValidationError(fault[1])
+            raise ValidationError(fault[2])
         for name, value in (("observations", obs), ("timestamps", ts), ("durations", dur),
-                            ("demographics", dem)):
+                            ("demographics", dem), ("_gaps", gaps)):
             object.__setattr__(self, name, value)
 
     @property
@@ -122,9 +140,7 @@ class ObservationSequence:
     def gaps(self) -> np.ndarray:
         """Stay time of each observation: the durations override when present,
         otherwise the gap to the previous timestamp (time zero before the first)."""
-        if self.durations is not None:
-            return self.durations.copy()
-        return np.diff(self.timestamps, prepend=0.0)
+        return self._gaps.copy()
 
     def period(self) -> float:
         """Span between first and last observation time."""
@@ -238,7 +254,7 @@ class SurvivalDataset:
         gaps, fault = _check_records(rows, timestamps, offsets, durations, has_durations,
                                      demographics)
         if fault:
-            raise ValidationError(f"record {record_ids[fault[0]]!r}: {fault[1]}")
+            raise RecordFault(f"record {record_ids[fault[0]]!r}: {fault[2]}", *fault[:2])
         self.rows, self.timestamps, self.gaps, self.offsets = rows, timestamps, gaps, offsets
         self.has_durations, self.demographics = has_durations, demographics
         self.record_ids = record_ids
@@ -288,9 +304,8 @@ class SurvivalDataset:
             dems = self.demographics if self.n_demographics else [None] * len(self)
             self._sequences = [
                 _trusted(ObservationSequence, observations=self.rows[a:b],
-                         timestamps=self.timestamps[a:b],
-                         durations=self.gaps[a:b] if given else None,
-                         demographics=dem, record_id=rid)
+                         timestamps=self.timestamps[a:b], _gaps=(gaps := self.gaps[a:b]),
+                         durations=gaps if given else None, demographics=dem, record_id=rid)
                 for (a, b), given, dem, rid in zip(bounds, self.has_durations.tolist(), dems,
                                                    self.record_ids.tolist())
             ]

@@ -10,6 +10,7 @@ from the loss through f's input gradient into the stay-time weights.
 from __future__ import annotations
 
 import dataclasses
+import numbers
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -143,6 +144,19 @@ class Standardizer:
         return (np.asarray(rows, dtype=float) - self.mean) / self.scale
 
 
+def _is_number(value) -> bool:
+    return isinstance(value, numbers.Real) and not isinstance(value, bool)
+
+
+def _is_positive_int(value) -> bool:
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool) and value > 0
+
+
+def _is_pair(value) -> bool:
+    """Whether value is a (min, max) pair of numbers, as a tuple or a JSON list."""
+    return isinstance(value, (tuple, list)) and len(value) == 2 and all(map(_is_number, value))
+
+
 @dataclass(frozen=True)
 class TrainConfig:
     """Everything that determines a training run, including the seed."""
@@ -199,6 +213,20 @@ class TrainConfig:
         for name in ("gamma_grid", "f_hidden", "g_hidden", "segments", "value_range"):
             if isinstance(getattr(self, name), list):
                 object.__setattr__(self, name, tuple(getattr(self, name)))
+        for name in ("f_hidden", "g_hidden", "segments"):
+            value = getattr(self, name)
+            if not ((name == "segments" and _is_positive_int(value))
+                    or (isinstance(value, tuple) and all(map(_is_positive_int, value)))):
+                raise ConfigurationError(f"{name} must hold positive integers, got {value!r}")
+        vr = self.value_range
+        if vr is not None and not (_is_pair(vr) or (isinstance(vr, tuple) and vr
+                                                    and all(map(_is_pair, vr)))):
+            raise ConfigurationError(
+                f"value_range must be one (min, max) pair or one per dimension, got {vr!r}")
+        if not (isinstance(self.gamma_grid, tuple) and self.gamma_grid and all(
+                _is_number(g) and 0 < g < np.inf for g in self.gamma_grid)):
+            raise ConfigurationError(
+                f"gamma_grid must hold positive finite numbers, got {self.gamma_grid!r}")
 
     @property
     def wants_standardize(self) -> bool:

@@ -87,6 +87,30 @@ class TestGenerate:
 
 
 class TestConfigFile:
+    @pytest.mark.parametrize("fields", [
+        {"f_hidden": ["a"]},
+        {"value_range": [1]},
+        {"value_range": [1, "b"]},
+        {"gamma_grid": ["x"]},
+    ])
+    def test_bad_tuple_field_elements_rejected(self, tmp_path, capsys, data_dir, fields):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"model": "ctr-k", "seed": 0, **fields}))
+        code, _, stderr = run(capsys, "train", "--data", str(data_dir), "--config", str(cfg),
+                              "--out", str(tmp_path / "o"))
+        assert code == 1
+        err = one_error_line(stderr)
+        assert err["error"] == "ConfigurationError"
+        assert next(iter(fields)) in err["message"]
+
+    def test_negative_gamma_grid_flag_rejected(self, tmp_path, capsys, data_dir):
+        code, _, stderr = run(capsys, "train", "--data", str(data_dir), "--model", "ctr-k",
+                              "--seed", "0", "--gamma-grid", "-1", "--out", str(tmp_path / "o"))
+        assert code == 1
+        err = one_error_line(stderr)
+        assert err["error"] == "ConfigurationError"
+        assert "gamma_grid" in err["message"]
+
     def test_flags_beat_config_file(self, tmp_path, capsys):
         cfg = tmp_path / "gen.json"
         cfg.write_text(json.dumps({"n_records": 40, "n_obs": 5}))
@@ -370,6 +394,13 @@ class TestJobs:
 
 
 class TestGradcheck:
+    @pytest.mark.parametrize("flag", ["--seeds", "--max-entries"])
+    def test_count_below_one_is_usage_error(self, capsys, flag):
+        code, stdout, stderr = run(capsys, "gradcheck", flag, "0")
+        assert code == 2
+        assert stdout == ""
+        assert one_error_line(stderr)["error"] == "UsageError"
+
     def test_passes_and_reports(self, capsys):
         code, stdout, _ = run(capsys, "gradcheck", "--seed", "0", "--seeds", "1",
                               "--max-entries", "30")
@@ -466,6 +497,25 @@ class TestCorruptFiles:
         assert err["error"] == "ValidationError"
         assert "manifest.json" in err["message"]
         assert "feature_columns" in err["message"]
+
+    @pytest.mark.parametrize("bench", [
+        {"rows": [{}]},
+        {"rows": [dict(MINIMAL_BENCH["rows"][0], mean="x")]},
+        {"rows": [dict(MINIMAL_BENCH["rows"][0], mean=10**400)]},  # no float holds it
+        dict(MINIMAL_BENCH, period={"thresholds": [1.0], "means": [0.1], "stderrs": ["x"],
+                                    "n_records": [5]}),
+    ])
+    def test_malformed_bench_report_writes_nothing(self, tmp_path, capsys, bench):
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(bench))
+        code, stdout, stderr = run(capsys, "report", "--bench", str(path),
+                                   "--out", str(tmp_path / "rep"))
+        assert code == 1
+        assert stdout == ""
+        err = one_error_line(stderr)
+        assert err["error"] == "ValidationError"
+        assert err["message"].startswith(f"{path}: not a bench report (")
+        assert not (tmp_path / "rep").exists()
 
     def test_report_without_rows_names_the_file(self, tmp_path, capsys):
         bench = tmp_path / "bad.json"

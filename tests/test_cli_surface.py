@@ -94,9 +94,9 @@ SURFACE = {
     ],
     "gradcheck": [
         opt("--seed", type=int),
-        opt("--seeds", type=int, default=3),
+        opt("--seeds", type=_positive_int, default=3),
         opt("--tolerance", type=float, default=1e-3),
-        opt("--max-entries", type=int, default=60),
+        opt("--max-entries", type=_positive_int, default=60),
     ],
     "report": [opt("--bench", required=True), OUT],
 }

@@ -36,6 +36,18 @@ def build_dataset(with_durations=True, with_demographics=False):
     return SurvivalDataset(seqs, labs)
 
 
+def interleave(rows):
+    """Observation rows dealt out round-robin: every record's rows end up
+    separated by other records' rows, each record's own rows still in time
+    order."""
+    position, keyed = {}, []
+    for row in rows:
+        rid = row.split(",")[0]
+        position[rid] = position.get(rid, -1) + 1
+        keyed.append((position[rid], rid, row))
+    return [row for _, _, row in sorted(keyed)]
+
+
 def assert_datasets_equal(a, b):
     assert len(a) == len(b)
     for sa, sb in zip(a.sequences, b.sequences):
@@ -93,15 +105,7 @@ class TestRoundTrip:
         write_dataset(data, tmp_path)
         obs = tmp_path / "observations.csv"
         header, *rows = obs.read_text().splitlines()
-        # deal the rows out round-robin: every record's rows end up separated
-        # by other records' rows, each record's own rows still in time order
-        position = {}
-        keyed = []
-        for row in rows:
-            rid = row.split(",")[0]
-            position[rid] = position.get(rid, -1) + 1
-            keyed.append((position[rid], rid, row))
-        interleaved = [row for _, _, row in sorted(keyed)]
+        interleaved = interleave(rows)
         assert interleaved != rows
         obs.write_text("\n".join([header, *interleaved]) + "\n")
         assert_datasets_equal(data, read_dataset(tmp_path))
@@ -170,6 +174,27 @@ class TestValidation:
         obs.write_text("\n".join(lines) + "\n")
         with pytest.raises(ValidationError, match=r"observations.csv, row 4"):
             read_dataset(tmp_path)
+
+    @pytest.mark.parametrize("file, row, column, value, rule", [
+        ("observations.csv", 12, 2, "nan", "observations contains non-finite entries"),
+        ("observations.csv", 9, 5, "-1.0", "durations must all be positive"),
+        ("demographics.csv", 3, 2, "inf", "demographics contains non-finite entries"),
+    ])
+    def test_record_rule_names_the_file_row(self, tmp_path, file, row, column, value, rule):
+        """A record rule's fault names the file and row that break it, in
+        file order, with the observation rows interleaved across records."""
+        write_dataset(build_dataset(with_demographics=True), tmp_path)
+        obs = tmp_path / "observations.csv"
+        header, *rows = obs.read_text().splitlines()
+        obs.write_text("\n".join([header, *interleave(rows)]) + "\n")
+        lines = (tmp_path / file).read_text().splitlines()
+        cells = lines[row - 1].split(",")
+        cells[column] = value
+        lines[row - 1] = ",".join(cells)
+        (tmp_path / file).write_text("\n".join(lines) + "\n")
+        with pytest.raises(ValidationError) as caught:
+            read_dataset(tmp_path)
+        assert str(caught.value) == f"{file}, row {row}: record {cells[0]!r}: {rule}"
 
     def test_duplicate_label_record_id(self, tmp_path):
         self.write_and_patch(

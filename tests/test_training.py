@@ -135,6 +135,37 @@ class TestTrainConfig:
         assert not TrainConfig(model="ctr-d", loss="squared").wants_standardize
         assert TrainConfig(model="ctr-d", loss="squared", standardize=True).wants_standardize
 
+    @pytest.mark.parametrize("field, value", [
+        ("f_hidden", ("a",)),
+        ("f_hidden", (8, True)),
+        ("g_hidden", (8, 0)),
+        ("g_hidden", 8),
+        ("segments", 0),
+        ("segments", (3, 2.5)),
+        ("value_range", (1,)),
+        ("value_range", (1, "b")),
+        ("value_range", ((0.0, 1.0), (2.0,))),
+        ("value_range", ()),
+        ("gamma_grid", ("x",)),
+        ("gamma_grid", (1.0, -1.0)),
+        ("gamma_grid", (float("inf"),)),
+        ("gamma_grid", ()),
+    ])
+    def test_tuple_field_elements_checked(self, field, value):
+        with pytest.raises(ConfigurationError, match=field):
+            TrainConfig(model="ctr-d", **{field: value})
+
+    @pytest.mark.parametrize("field, value", [
+        ("f_hidden", ()),
+        ("segments", [3, 2]),
+        ("value_range", [[0, 1], [-1.0, 2]]),
+        ("value_range", None),
+        ("gamma_grid", [1, 0.5]),
+    ])
+    def test_tuple_field_elements_accepted(self, field, value):
+        cfg = TrainConfig(model="ctr-d", **{field: value})
+        assert TrainConfig.from_dict(cfg.to_dict()) == cfg
+
     def test_trainable_decay_must_start_below_one(self):
         with pytest.raises(ConfigurationError):
             TrainConfig(model="ctr-d", decay_init=1.0, decay_trainable=True)
