@@ -30,12 +30,10 @@ from .representation import (
 )
 from .nn import AdamState, Mlp, adam_step, grad_check, softmax
 from .training import (
-    HyperSearchResult,
     Standardizer,
     TrainConfig,
     TrainedModel,
     combined_loss,
-    hyper_search,
     squared_loss,
     static_features,
     train_model,
@@ -65,7 +63,6 @@ __all__ = [
     "DiscreteStateFunction",
     "DivergenceError",
     "FoldReport",
-    "HyperSearchResult",
     "KernelBasisSet",
     "KernelStateFunction",
     "Mlp",
@@ -99,7 +96,6 @@ __all__ = [
     "generate",
     "grad_check",
     "gradient_check_model",
-    "hyper_search",
     "kfold_cv",
     "load_checkpoint",
     "period_stratified_improvement",

@@ -510,8 +510,8 @@ def main(argv=None) -> int:
     except StayTimeError as exc:
         _emit_error(type(exc).__name__, str(exc))
         return 1
-    except FileNotFoundError as exc:
-        _emit_error("FileNotFoundError", str(exc))
+    except OSError as exc:
+        _emit_error(type(exc).__name__, str(exc))
         return 1
 
 

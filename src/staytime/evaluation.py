@@ -19,7 +19,7 @@ import numpy as np
 
 from .errors import ConfigurationError, UndefinedResultError, ValidationError, WorkerError
 from .sequences import SurvivalDataset, as_float_array
-from .training import TrainConfig, default_grid, train_model
+from .training import TrainConfig, shuffled_strata, train_model
 
 # Inputs up to this many records are counted directly on (uncensored x all)
 # comparison masks, which is faster there than the sort-based count.  The
@@ -91,26 +91,19 @@ def _pair_counts(preds, times, censored):
     return concordant, tied, pairs
 
 
-def fold_assignments(n: int, k: int, rng, censored=None, stratify: bool = False):
+def fold_assignments(n: int, k: int, rng, censored=None):
     """Shuffle indices and cut them into k contiguous folds.
 
-    With stratification, censored and uncensored records are shuffled and cut
-    separately, then merged per fold, so every fold keeps roughly the overall
-    censoring rate.
+    Censored and uncensored records are shuffled and cut separately (see
+    shuffled_strata), then merged per fold, so every fold keeps roughly the
+    overall censoring rate.
     """
     if k < 2:
         raise ValidationError("cross-validation needs at least 2 folds")
     if n < k:
         raise ValidationError(f"cannot cut {n} records into {k} folds")
-    if stratify:
-        censored = np.asarray(censored, dtype=bool)
-        parts = [np.flatnonzero(censored), np.flatnonzero(~censored)]
-        parts = [p for p in parts if len(p)]
-    else:
-        parts = [np.arange(n)]
     folds = [[] for _ in range(k)]
-    for p in parts:
-        shuffled = p[rng.permutation(len(p))]
+    for shuffled in shuffled_strata(n, censored, rng):
         for i, chunk in enumerate(np.array_split(shuffled, k)):
             folds[i].append(chunk)
     return [np.sort(np.concatenate(f)).astype(int) for f in folds]
@@ -184,8 +177,7 @@ class FoldReport:
 
 
 def kfold_cv(dataset: SurvivalDataset, config, k: int = 5, seed: int = 0,
-             grid: list | None = None, stratify: bool | None = None,
-             jobs: int = 1) -> FoldReport:
+             grid: list | None = None, jobs: int = 1) -> FoldReport:
     """k-fold cross-validation with a per-fold hyperparameter search.
 
     The fold partition is drawn from `seed` alone, independent of the training
@@ -194,31 +186,29 @@ def kfold_cv(dataset: SurvivalDataset, config, k: int = 5, seed: int = 0,
     training portion is searched (validation split handled inside
     train_model); the winning model is scored on the held-out fold.  A fold
     without a single admissible pair gets a None score and a warning instead
-    of a made-up number.  stratify=None stratifies by censoring whenever any
-    record is censored.  jobs is the number of worker processes (see
+    of a made-up number.  The folds are stratified by censoring whenever
+    any record is censored.  jobs is the number of worker processes (see
     run_jobs); the report does not depend on it.
     """
     grids = None if grid is None else [grid]
-    return cross_validate(dataset, [config], k, seed, grids, stratify, jobs)[0]
+    return cross_validate(dataset, [config], k, seed, grids, jobs)[0]
 
 
 def cross_validate(dataset: SurvivalDataset, configs: list, k: int = 5, seed: int = 0,
-                   grids: list | None = None, stratify: bool | None = None,
-                   jobs: int = 1) -> list:
+                   grids: list | None = None, jobs: int = 1) -> list:
     """kfold_cv of every config on one fold partition, as one job list.
 
+    The folds are stratified by censoring whenever any record is censored.
     There is one job per (config, fold, grid candidate), and all of them go
-    to one run_jobs call, longest first when jobs > 1.  The results are
-    merged in config, fold and grid order, and a fold keeps its earliest
-    best candidate, so the FoldReports are the same for every jobs value
-    (except wall_clock, each fold's summed job seconds).
+    to one run_jobs call, which returns the results in job order however
+    the jobs ran.  They are merged in config, fold and grid order, and a
+    fold keeps its earliest best candidate, so the FoldReports are the same
+    for every jobs value (except wall_clock, each fold's summed job seconds).
     """
     times = dataset.event_times()
     censored = dataset.censor_mask()
-    if stratify is None:
-        stratify = bool(censored.any())
     rng = np.random.default_rng(np.random.SeedSequence([seed, k]))
-    folds = fold_assignments(len(dataset), k, rng, censored, stratify)
+    folds = fold_assignments(len(dataset), k, rng, censored)
     grids = [default_grid(c) if g is None else list(g)
              for c, g in zip(configs, grids or [None] * len(configs))]
     if not all(grids):
@@ -262,6 +252,13 @@ def cross_validate(dataset: SurvivalDataset, configs: list, k: int = 5, seed: in
     return reports
 
 
+def default_grid(config: TrainConfig) -> list:
+    """The exhaustive candidate grid a model kind searches by default."""
+    if config.model == "ctr-k":
+        return [{"gamma": g} for g in config.gamma_grid]
+    return [{}]
+
+
 def first_best(scores) -> int:
     """Index of the highest score; ties go to the earliest."""
     return scores.index(max(scores))
@@ -286,8 +283,8 @@ class FitResult:
     seconds: float                   # the job's wall time, where it ran
 
 
-def fit_job(dataset: SurvivalDataset, job: FitJob):
-    """Run one job on dataset: (the trained model, its FitResult)."""
+def fit_job(dataset: SurvivalDataset, job: FitJob) -> FitResult:
+    """Run one job on dataset."""
     t0 = _time.perf_counter()
     train_set, preds = dataset, None
     if job.test is not None:
@@ -297,7 +294,7 @@ def fit_job(dataset: SurvivalDataset, job: FitJob):
     model = train_model(train_set, job.config)
     if job.test is not None:
         preds = model.predict(dataset.subset(job.test))
-    return model, FitResult(model.best_val_score, preds, _time.perf_counter() - t0)
+    return FitResult(model.best_val_score, preds, _time.perf_counter() - t0)
 
 
 # A worker's dataset, read once by the pool initializer.
@@ -313,7 +310,7 @@ def _load_dataset(path) -> None:
 
 def _run_job(job: FitJob) -> FitResult:
     """A worker's entry point: one job on its dataset."""
-    return fit_job(_worker_dataset, job)[1]
+    return fit_job(_worker_dataset, job)
 
 
 # Relative cost of one training epoch by model kind, as measured on the
@@ -360,13 +357,13 @@ def run_jobs(dataset: SurvivalDataset, jobs: list, workers: int = 1) -> list:
     processes (never more than there are jobs), longest first by fit_cost
     (LPT scheduling, Graham 1969).  Each worker reads the dataset once and
     inherits this process's environment, BLAS thread count included, so
-    every job computes the same bits wherever it runs.  If jobs fail, the
-    error raised is that of the earliest failing job in job order, the one
-    a serial run would raise.
+    every job computes the same bits wherever it runs.  The results are
+    awaited in job order, so if jobs fail, the error raised is that of the
+    earliest failing job in job order, the one a serial run would raise.
     """
     workers = min(workers, len(jobs))
     if workers <= 1:
-        return [fit_job(dataset, job)[1] for job in jobs]
+        return [fit_job(dataset, job) for job in jobs]
     return _run_pool(dataset, jobs, workers)
 
 
@@ -398,30 +395,13 @@ def _run_pool(dataset, jobs, workers) -> list:
 
 
 def _gather(pool, jobs) -> list:
-    """Submit the jobs longest first and return their results in job order,
-    or raise the error of the earliest failing job in job order."""
-    from concurrent.futures import as_completed
-
+    """Submit the jobs longest first and wait for their results in job
+    order: the first error met is the earliest failing job's."""
+    futures = [None] * len(jobs)
     # sorted is stable: equal estimates keep job order
-    order = sorted(range(len(jobs)), key=lambda i: -fit_cost(jobs[i].config))
-    index = {pool.submit(_run_job, jobs[i]): i for i in order}
-    results, failed = [None] * len(jobs), None  # failed: (job, its error)
-    for future in as_completed(index):
-        i = index[future]
-        if future.cancelled():
-            continue
-        error = future.exception()
-        if error is None:
-            results[i] = future.result()
-        elif failed is None or i < failed[0]:
-            failed = (i, error)
-            # later jobs cannot hold the first error; earlier ones still run
-            for other, j in index.items():
-                if j > i:
-                    other.cancel()
-    if failed is not None:
-        raise failed[1]
-    return results
+    for i in sorted(range(len(jobs)), key=lambda i: -fit_cost(jobs[i].config)):
+        futures[i] = pool.submit(_run_job, jobs[i])
+    return [future.result() for future in futures]
 
 
 @dataclass

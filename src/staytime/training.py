@@ -18,7 +18,6 @@ import numpy as np
 from .errors import (
     ConfigurationError,
     DivergenceError,
-    UndefinedResultError,
     ValidationError,
 )
 from .nn import AdamState, Mlp, Workspace, adam_step, grad_check, log_sigmoid
@@ -293,16 +292,21 @@ class TrainedModel:
         return self.predictor.forward(self.features(X))[:, 0]
 
 
-def split_validation(n: int, censored, fraction: float, rng, stratify: bool = True):
-    """Shuffled train/validation index split, optionally stratified by censoring."""
-    censored = np.asarray(censored, dtype=bool)
-    if stratify and censored.any() and (~censored).any():
-        strata = [np.flatnonzero(censored), np.flatnonzero(~censored)]
-    else:
-        strata = [np.arange(n)]
+def shuffled_strata(n: int, censored, rng) -> list:
+    """The indices 0..n-1 cut by censoring, each stratum shuffled by rng:
+    the censored records, then the uncensored ones.  An empty stratum is
+    left out, so without censoring (censored all False or None) there is one.
+    The validation split and the cross-validation folds both cut these, so
+    each keeps roughly the overall censoring rate."""
+    censored = np.zeros(n, dtype=bool) if censored is None else np.asarray(censored, dtype=bool)
+    strata = [s for s in (np.flatnonzero(censored), np.flatnonzero(~censored)) if len(s)]
+    return [s[rng.permutation(len(s))] for s in strata]
+
+
+def split_validation(n: int, censored, fraction: float, rng):
+    """Shuffled train/validation index split, stratified by censoring."""
     val_parts, train_parts = [], []
-    for s in strata:
-        s = s[rng.permutation(len(s))]
+    for s in shuffled_strata(n, censored, rng):
         n_val = int(round(fraction * len(s)))
         val_parts.append(s[:n_val])
         train_parts.append(s[n_val:])
@@ -348,33 +352,31 @@ class _Components:
             np.random.default_rng(s) for s in ss.spawn(6)
         )
 
-        stratify = bool(censored.any())
         self.train_idx, self.val_idx = train_idx, val_idx = split_validation(
-            len(dataset), censored, config.val_fraction, rng_split, stratify
-        )
+            len(dataset), censored, config.val_fraction, rng_split)
         standardize = config.wants_standardize
-        self.obs_std = self.dem_std = self.static_std = None
+        obs_std = dem_std = static_std = None
         self.train_packed = self.val_packed = None
         if config.model != "static":
             packed = PackedRecords.pack(dataset)
             if standardize:
-                self.obs_std = Standardizer.fit(packed.take(train_idx).rows)
-                packed.rows = self.obs_std.transform(packed.rows)
+                obs_std = Standardizer.fit(packed.take(train_idx).rows)
+                packed.rows = obs_std.transform(packed.rows)
             self.train_packed, self.val_packed = packed.take(train_idx), packed.take(val_idx)
 
         self.dem = None
         if dataset.n_demographics:
             self.dem = dataset.demographics
             if standardize:
-                self.dem_std = Standardizer.fit(self.dem[train_idx], skip_binary=True)
-                self.dem = self.dem_std.transform(self.dem)
+                dem_std = Standardizer.fit(self.dem[train_idx], skip_binary=True)
+                self.dem = dem_std.transform(self.dem)
 
         self.gnet = self.state = self.decay = self.feats_all = None
         if config.model == "static":
             feats = static_features_batch(dataset)
             if standardize:
-                self.static_std = Standardizer.fit(feats[train_idx])
-                feats = self.static_std.transform(feats)
+                static_std = Standardizer.fit(feats[train_idx])
+                feats = static_std.transform(feats)
             n_ctr = feats.shape[1]
             self.feats_all = _with_demographics(feats, self.dem)
         else:
@@ -420,6 +422,9 @@ class _Components:
         self.work = {net: Workspace(net, self.grad[lo:lo + net.n_params])
                      for net, lo in zip(nets, (0, self.f.n_params))}
         self.scratch = Workspace()  # this class's own per-row buffers
+        # the model trained in place; train_model adds what its epochs found
+        self.model = TrainedModel(config, self.f, self.state, self.decay, obs_std, dem_std,
+                                  static_std, history=[], best_epoch=0, best_val_score=0.0)
 
     def params(self) -> dict:
         p = {f"f/{k}": v for k, v in self.f.params().items()}
@@ -445,67 +450,28 @@ class _Components:
             name for name, g in self.grad_blocks(self.grad).items() if not np.isfinite(g).all())
         raise DivergenceError(f"non-finite value in {bad} at epoch {epoch}")
 
-    def assemble(self, packed, local_idx, global_idx, rng, update_stats=None):
-        """Train-mode predictor input for a batch plus what the backward
-        pass needs."""
-        config = self.config
+    def batch_loss_and_grads(self, local_idx, rng, update_stats=None):
+        """Train-mode forward and backward over the training records at
+        local_idx: the chain rule runs from the loss through f's input
+        gradient into g and the decay raw value.  Returns the loss and the
+        flat gradient, written in place."""
+        config, decay = self.config, self.decay
+        global_idx = self.train_idx[local_idx]
         if config.model == "static":
-            return self.feats_all[global_idx], None
-        batch = packed.take(local_idx)
-        u = batch.stay_times(self.decay.value)
-        W, gcache = batch.weights, None
-        if config.model == "ctr-n":
-            W, gcache = self.gnet.forward(
-                batch.rows, mode="train", rng=rng, want_cache=True,
-                update_stats=update_stats, work=self.work[self.gnet],
-            )
-        starts = batch.offsets[:-1]
-        Z, totals = segment_ctr(u, W, starts, config.normalize_ctr,
-                                scratch=self.scratch.buf("prod", *W.shape))
-        aux = {
-            "u": u, "expo": batch.exponents, "W": W, "starts": starts,
-            "counts": batch.counts, "gcache": gcache, "totals": totals, "Z": Z,
-        }
-        dem = None if self.dem is None else self.dem[global_idx]
-        return _with_demographics(Z, dem), aux
-
-    def ctr_backward(self, gz, aux):
-        """Gradients of the loss through z into g and the decay raw value,
-        written into the flat gradient."""
-        config = self.config
-        decay = self.decay
-        if config.model != "ctr-n" and not decay.trainable:
-            return
-        u, expo, W, starts, counts = (
-            aux["u"], aux["expo"], aux["W"], aux["starts"], aux["counts"],
-        )
-        gz_eff = gz
-        if config.normalize_ctr:
-            gz_eff = gz / aux["totals"][:, None]
-        # each record's row of gz_eff, repeated over its observations
-        gz_rows = np.take(gz_eff, np.repeat(np.arange(len(counts)), counts), axis=0,
-                          out=self.scratch.buf("gz_rows", *W.shape))
-        prod = self.scratch.buf("prod", *W.shape)
-        if config.model == "ctr-n":
-            self.gnet.backward(np.multiply(gz_rows, u[:, None], out=prod), aux["gcache"])
-        if decay.trainable:
-            lam = decay.value
-            s_rows = np.multiply(gz_rows, W, out=prod).sum(axis=1)
-            dldlam = float(np.sum(s_rows * u * expo) / lam)
-            if config.normalize_ctr:
-                # the totals also move with the decay value
-                dtot = np.add.reduceat(u * expo, starts) / lam
-                z_dot = np.sum(gz_eff * aux["Z"], axis=1)
-                dldlam -= float(np.sum(z_dot * dtot))
-            self.grad[-1] = dldlam * decay.value_grad()
-
-    def batch_loss_and_grads(self, packed, local_idx, global_idx, rng,
-                             update_stats=None):
-        """Train-mode forward and backward over one batch: returns the loss
-        and the flat gradient, written in place."""
-        config = self.config
-        X, aux = self.assemble(packed, local_idx, global_idx, rng,
-                               update_stats=update_stats)
+            X = self.feats_all[global_idx]
+        else:
+            batch = self.train_packed.take(local_idx)
+            u = batch.stay_times(decay.value)
+            W, gcache = batch.weights, None
+            if config.model == "ctr-n":
+                W, gcache = self.gnet.forward(
+                    batch.rows, mode="train", rng=rng, want_cache=True,
+                    update_stats=update_stats, work=self.work[self.gnet],
+                )
+            starts = batch.offsets[:-1]
+            prod = self.scratch.buf("prod", *W.shape)
+            Z, totals = segment_ctr(u, W, starts, config.normalize_ctr, scratch=prod)
+            X = _with_demographics(Z, None if self.dem is None else self.dem[global_idx])
         out, fcache = self.f.forward(X, mode="train", rng=rng, want_cache=True,
                                      update_stats=update_stats, work=self.work[self.f])
         preds = out[:, 0]
@@ -515,8 +481,28 @@ class _Components:
         else:
             loss, dpred = combined_loss(preds, t, self.censored[global_idx])
         _, dX = self.f.backward(dpred[:, None], fcache)
-        if config.model != "static":
-            self.ctr_backward(dX[:, : aux["Z"].shape[1]], aux)
+        if config.model == "static" or (config.model != "ctr-n" and not decay.trainable):
+            return loss, self.grad
+
+        gz = dX[:, : Z.shape[1]]
+        if config.normalize_ctr:
+            gz = gz / totals[:, None]
+        # each record's row of gz, repeated over its observations
+        counts = batch.counts
+        gz_rows = np.take(gz, np.repeat(np.arange(len(counts)), counts), axis=0,
+                          out=self.scratch.buf("gz_rows", *W.shape))
+        if config.model == "ctr-n":
+            self.gnet.backward(np.multiply(gz_rows, u[:, None], out=prod), gcache)
+        if decay.trainable:
+            lam, expo = decay.value, batch.exponents
+            s_rows = np.multiply(gz_rows, W, out=prod).sum(axis=1)
+            dldlam = float(np.sum(s_rows * u * expo) / lam)
+            if config.normalize_ctr:
+                # the totals also move with the decay value
+                dtot = np.add.reduceat(u * expo, starts) / lam
+                z_dot = np.sum(gz * Z, axis=1)
+                dldlam -= float(np.sum(z_dot * dtot))
+            self.grad[-1] = dldlam * decay.value_grad()
         return loss, self.grad
 
     def predict_validation(self) -> np.ndarray:
@@ -538,27 +524,23 @@ def train_model(dataset: SurvivalDataset, config: TrainConfig) -> TrainedModel:
     # as a DivergenceError, and numpy prints no warnings on the way
     with np.errstate(all="ignore"):
         comp = _Components(dataset, config)
-        config = comp.config
         times, censored = comp.times, comp.censored
         train_idx, val_idx = comp.train_idx, comp.val_idx
         adam = AdamState(lr=config.learning_rate, beta1=config.beta1, beta2=config.beta2,
                          eps=config.adam_eps)
 
-        local_order = np.arange(len(train_idx))
         history = []
         best = (-np.inf, -1)
         best_snap = None
         pairless = 0
         for epoch in range(1, config.epochs + 1):
-            order = local_order[comp.rng_shuffle.permutation(len(local_order))]
+            order = comp.rng_shuffle.permutation(len(train_idx))
             batch_losses = []
             for start in range(0, len(order), config.batch_size):
                 batch_local = order[start : start + config.batch_size]
-                batch_global = train_idx[batch_local]
-                loss, grad = comp.batch_loss_and_grads(
-                    comp.train_packed, batch_local, batch_global, comp.rng_dropout
-                )
+                loss, grad = comp.batch_loss_and_grads(batch_local, comp.rng_dropout)
                 if config.loss == "combined":
+                    batch_global = train_idx[batch_local]
                     if not has_admissible_pair(times[batch_global], censored[batch_global]):
                         pairless += 1
                 comp.require_finite(loss, epoch)
@@ -581,19 +563,8 @@ def train_model(dataset: SurvivalDataset, config: TrainConfig) -> TrainedModel:
         for v, snap in zip(comp.states, best_snap or ()):
             v[...] = snap
 
-    return TrainedModel(
-        config=config,
-        predictor=comp.f,
-        state=comp.state,
-        decay=comp.decay,
-        obs_standardizer=comp.obs_std,
-        dem_standardizer=comp.dem_std,
-        static_standardizer=comp.static_std,
-        history=history,
-        best_epoch=best[1],
-        best_val_score=float(best[0]),
-        pairless_batches=pairless,
-    )
+    return replace(comp.model, history=history, best_epoch=best[1],
+                   best_val_score=float(best[0]), pairless_batches=pairless)
 
 
 def gradient_check_model(dataset: SurvivalDataset, config: TrainConfig,
@@ -601,7 +572,7 @@ def gradient_check_model(dataset: SurvivalDataset, config: TrainConfig,
                          max_entries: int | None = None) -> dict:
     """Finite-difference check of the production backward pass.
 
-    Runs the same assembly the training loop uses, in deterministic mode:
+    Runs the training loop's batch step, in deterministic mode:
     dropout forced off, batch-norm on batch statistics with frozen running
     stats.  Returns max relative error per parameter block; blocks cover f,
     and for ctr-n also g and the decay raw value when trainable.
@@ -609,50 +580,11 @@ def gradient_check_model(dataset: SurvivalDataset, config: TrainConfig,
     config = replace(config, dropout=0.0)
     comp = _Components(dataset, config)
     local = np.arange(min(config.batch_size, len(comp.train_idx)))
-    global_idx = comp.train_idx[local]
 
     def loss_and_grads():
-        loss, grad = comp.batch_loss_and_grads(
-            comp.train_packed, local, global_idx, None, update_stats=False
-        )
+        loss, grad = comp.batch_loss_and_grads(local, None, update_stats=False)
         return loss, comp.grad_blocks(grad.copy())
 
     rng = np.random.default_rng(np.random.SeedSequence([config.seed, 0xC7EC]))
     return grad_check(comp.params(), loss_and_grads, eps=eps,
                       max_entries=max_entries, rng=rng)
-
-
-@dataclass
-class HyperSearchResult:
-    best_config: TrainConfig
-    best_model: TrainedModel
-    candidates: list  # (overrides, validation score) in grid order
-
-
-def default_grid(config: TrainConfig) -> list:
-    """The exhaustive candidate grid a model kind searches by default."""
-    if config.model == "ctr-k":
-        return [{"gamma": g} for g in config.gamma_grid]
-    return [{}]
-
-
-def hyper_search(dataset: SurvivalDataset, config: TrainConfig,
-                 grid: list | None = None) -> HyperSearchResult:
-    """Exhaustive search over candidate overrides, scored by validation C-index.
-
-    Candidates run in grid order with identical seeds, so they share the same
-    validation split; ties keep the earliest candidate.  Each candidate is
-    one cross-validation job (evaluation.fit_job), run here.
-    """
-    from .evaluation import FitJob, first_best, fit_job  # local import to avoid a module cycle
-
-    if grid is None:
-        grid = default_grid(config)
-    if not grid:
-        raise ConfigurationError("hyper_search needs at least one candidate")
-    fits = [fit_job(dataset, FitJob(replace(config, **overrides))) for overrides in grid]
-    best = fits[first_best([result.score for _, result in fits])][0]
-    return HyperSearchResult(
-        best_config=best.config, best_model=best,
-        candidates=[(dict(o), float(result.score)) for o, (_, result) in zip(grid, fits)],
-    )

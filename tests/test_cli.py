@@ -525,3 +525,34 @@ class TestCorruptFiles:
         err = last_json(stderr)
         assert err["error"] == "ValidationError"
         assert "bad.json" in err["message"]
+
+
+def snapshot(root: Path) -> list:
+    """Every path under root, with the bytes of each file."""
+    return sorted((str(p.relative_to(root)), None if p.is_dir() else p.read_bytes())
+                  for p in root.rglob("*"))
+
+
+class TestFileSystemErrors:
+    """A file-system error is one JSON line naming its OSError subclass,
+    exit 1, and the command writes nothing."""
+
+    @pytest.mark.parametrize("argv, error", [
+        (("report", "--bench", "{bench}", "--out", "{file}"), "FileExistsError"),
+        (("generate", "--seed", "0", "--n-records", "5", "--out", "{file}/x"),
+         "NotADirectoryError"),
+        (("report", "--bench", "{dir}", "--out", "{new}"), "IsADirectoryError"),
+        (("train", "--data", "{data}", "--config", "{dir}", "--out", "{new}", *FAST_TRAIN),
+         "IsADirectoryError"),
+    ], ids=["out-is-a-file", "out-under-a-file", "bench-is-a-dir", "config-is-a-dir"])
+    def test_one_json_line_and_nothing_written(self, tmp_path, capsys, data_dir, argv, error):
+        (tmp_path / "bench_report.json").write_text(json.dumps(MINIMAL_BENCH))
+        (tmp_path / "afile").write_text("")
+        (tmp_path / "adir").mkdir()
+        paths = {"bench": tmp_path / "bench_report.json", "file": tmp_path / "afile",
+                 "dir": tmp_path / "adir", "new": tmp_path / "new", "data": data_dir}
+        before = snapshot(tmp_path)
+        code, stdout, stderr = run(capsys, *(a.format(**paths) for a in argv))
+        assert (code, stdout) == (1, "")
+        assert one_error_line(stderr)["error"] == error
+        assert snapshot(tmp_path) == before

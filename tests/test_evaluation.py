@@ -20,6 +20,7 @@ from staytime.evaluation import (
     _pair_counts,
     c_index,
     cross_validate,
+    default_grid,
     default_jobs,
     first_best,
     fit_cost,
@@ -29,7 +30,7 @@ from staytime.evaluation import (
     run_jobs,
     usable_cpus,
 )
-from staytime.training import TrainConfig
+from staytime.training import TrainConfig, split_validation
 
 from test_training import tiny_config, toy_dataset
 
@@ -200,7 +201,7 @@ class TestFoldAssignments:
     def test_stratified_folds_spread_censoring(self):
         rng = np.random.default_rng(1)
         censored = np.array([True] * 10 + [False] * 40)
-        folds = fold_assignments(50, 5, rng, censored=censored, stratify=True)
+        folds = fold_assignments(50, 5, rng, censored=censored)
         for f in folds:
             assert censored[f].sum() == 2
 
@@ -216,6 +217,36 @@ class TestFoldAssignments:
         b = fold_assignments(20, 4, np.random.default_rng(3))
         for fa, fb in zip(a, b):
             np.testing.assert_array_equal(fa, fb)
+
+
+class TestPinnedPartitions:
+    """The cross-validation folds and the validation split of one seed, as
+    literal indices: drawing or cutting the censoring strata any other way
+    moves records between the parts."""
+
+    MASKS = {
+        "mixed": [0, 1, 0, 0, 1, 0, 1, 0, 0, 0, 1, 0],
+        "none": [0] * 12,
+        "all": [1] * 12,
+    }
+    FOLDS = {
+        "mixed": [[4, 8, 9, 10, 11], [0, 1, 2, 5], [3, 6, 7]],
+        "none": [[1, 2, 8, 10], [4, 5, 6, 9], [0, 3, 7, 11]],
+        "all": [[1, 2, 8, 10], [4, 5, 6, 9], [0, 3, 7, 11]],
+    }
+    SPLITS = {  # (train, validation)
+        "mixed": ([0, 1, 2, 3, 4, 5, 6, 7, 9], [8, 10, 11]),
+        "none": ([0, 1, 3, 4, 5, 6, 7, 9, 11], [2, 8, 10]),
+        "all": ([0, 1, 3, 4, 5, 6, 7, 9, 11], [2, 8, 10]),
+    }
+
+    @pytest.mark.parametrize("case", sorted(MASKS))
+    def test_indices_are_pinned(self, case):
+        censored = np.array(self.MASKS[case], dtype=bool)
+        folds = fold_assignments(12, 3, np.random.default_rng(11), censored)
+        assert [f.tolist() for f in folds] == self.FOLDS[case]
+        train, val = split_validation(12, censored, 0.25, np.random.default_rng(11))
+        assert (train.tolist(), val.tolist()) == self.SPLITS[case]
 
 
 class TestKFoldCV:
@@ -280,6 +311,14 @@ class TestParallelJobs:
         rep = kfold_cv(data, tiny_config("ctr-d", epochs=3), k=3,
                        grid=[{"patience": 4}, {"patience": 5}])
         assert rep.chosen == [{"patience": 4}] * 3
+
+    def test_default_grid_searches_every_kernel_gamma(self):
+        for model in ("ctr-d", "ctr-n", "static"):
+            assert default_grid(tiny_config(model)) == [{}]
+        config = tiny_config("ctr-k", gamma_grid=(0.1, 1.0), epochs=3)
+        assert default_grid(config) == [{"gamma": 0.1}, {"gamma": 1.0}]
+        rep = kfold_cv(toy_dataset(n=30), config, k=3)
+        assert len(rep.chosen) == 3 and all(c in default_grid(config) for c in rep.chosen)
 
     def test_default_jobs_divide_the_cpus_by_the_blas_threads(self, monkeypatch):
         for var in ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS"):

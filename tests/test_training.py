@@ -24,9 +24,7 @@ from staytime.training import (
     STATIC_QUANTILES,
     Standardizer,
     TrainConfig,
-    TrainedModel,
     _Components,
-    hyper_search,
     split_validation,
     static_features,
     train_model,
@@ -183,7 +181,7 @@ class TestSplitValidation:
     def test_stratified_split_keeps_censor_share(self):
         rng = np.random.default_rng(1)
         censored = np.array([False] * 80 + [True] * 20)
-        tr, va = split_validation(100, censored, 0.2, rng, stratify=True)
+        tr, va = split_validation(100, censored, 0.2, rng)
         assert censored[va].sum() == 4
         assert len(va) == 20
 
@@ -276,30 +274,6 @@ class TestTrainModel:
             train_model(bare, tiny_config("ctr-d"))
 
 
-class TestHyperSearch:
-    def test_kernel_grid_tries_every_gamma(self):
-        data = toy_dataset(n=30)
-        cfg = tiny_config("ctr-k", gamma_grid=(0.1, 1.0), epochs=4)
-        result = hyper_search(data, cfg)
-        tried = [c["gamma"] for c, _ in result.candidates]
-        assert tried == [0.1, 1.0]
-        assert result.best_config.gamma in (0.1, 1.0)
-
-    def test_single_candidate_for_grid_free_models(self):
-        data = toy_dataset(n=30)
-        result = hyper_search(data, tiny_config("ctr-d", epochs=4))
-        assert len(result.candidates) == 1
-
-    def test_best_score_is_max_of_candidates(self):
-        data = toy_dataset(n=30)
-        cfg = tiny_config("ctr-k", gamma_grid=(0.01, 1.0, 100.0), epochs=4)
-        result = hyper_search(data, cfg)
-        scores = [s for _, s in result.candidates]
-        assert max(scores) == pytest.approx(
-            result.best_model.best_val_score, abs=0
-        )
-
-
 def with_demographics(data, seed=1):
     """The same records with a continuous and a binary demographic column."""
     rng = np.random.default_rng(seed)
@@ -328,14 +302,8 @@ class TestOnePathForScoringAndValidation:
         cfg = tiny_config(model, value_range=None, **self.VARIANTS[variant])
         comp = _Components(data, cfg)
         assert comp.val_packed.offsets[-1] > 1024
-        model_view = TrainedModel(
-            config=cfg, predictor=comp.f, state=comp.state, decay=comp.decay,
-            obs_standardizer=comp.obs_std, dem_standardizer=comp.dem_std,
-            static_standardizer=comp.static_std, history=[], best_epoch=0,
-            best_val_score=0.0,
-        )
         np.testing.assert_array_equal(
-            model_view.predict(data.subset(comp.val_idx)), comp.predict_validation())
+            comp.model.predict(data.subset(comp.val_idx)), comp.predict_validation())
 
     @pytest.mark.parametrize("model", ["ctr-d", "ctr-k", "ctr-n"])
     def test_trained_model_reproduces_best_validation_score(self, model):
@@ -361,13 +329,8 @@ class TestStaticWithDemographics:
         assert preds.shape == (len(data),) and np.all(np.isfinite(preds))
 
         comp = _Components(data, cfg)
-        view = TrainedModel(
-            config=cfg, predictor=comp.f, state=None, decay=None, obs_standardizer=None,
-            dem_standardizer=comp.dem_std, static_standardizer=comp.static_std,
-            history=[], best_epoch=0, best_val_score=0.0,
-        )
         np.testing.assert_array_equal(
-            view.predict(data.subset(comp.val_idx)), comp.predict_validation())
+            comp.model.predict(data.subset(comp.val_idx)), comp.predict_validation())
 
         save_checkpoint(model, tmp_path / "static.npz")
         np.testing.assert_array_equal(load_checkpoint(tmp_path / "static.npz").predict(data),
