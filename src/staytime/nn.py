@@ -2,10 +2,11 @@
 
 Everything is float64 numpy.  A hidden layer is linear -> batch norm -> ReLU
 -> inverted dropout; the output layer is linear with an optional softmax.
-Batch norm keeps running statistics for eval mode; train mode uses the batch
-statistics and backpropagates through them.  The Adam step and the central
-finite-difference gradient checker live here too, so a network and its
-optimizer can be tested as one unit.
+Batch norm keeps running statistics for eval mode, which folds it with the
+bias into one affine; train mode uses the batch statistics and backpropagates
+through them.  The Adam step and the central finite-difference gradient
+checker live here too, so a network and its optimizer can be tested as one
+unit.
 """
 
 from __future__ import annotations
@@ -135,49 +136,52 @@ class Mlp:
         """Trainable parameters plus batch-norm running statistics."""
         return self.blocks(self.flat)
 
-    def _bn_forward(self, i, a, mode, update_stats, xhat_out):
-        """Batch norm of a, with xhat written to xhat_out (a fresh array when
-        None).  The output goes over a unless xhat_out is None; train mode
-        also uses a for the squared deviations."""
-        eps = self.bn_eps
-        if mode == "train":
-            mu = a.mean(axis=0)
-            xhat = np.subtract(a, mu, out=xhat_out)
-            var = np.multiply(xhat, xhat, out=a).sum(axis=0) / a.shape[0]  # a.var(axis=0)
-            inv_std = 1.0 / np.sqrt(var + eps)
-            if update_stats:
-                mom = self.bn_momentum
-                b = a.shape[0]
-                unbiased = var * (b / (b - 1)) if b > 1 else var
-                self.bn_run_mean[i][...] = (1 - mom) * self.bn_run_mean[i] + mom * mu
-                self.bn_run_var[i][...] = (1 - mom) * self.bn_run_var[i] + mom * unbiased
-        else:
-            inv_std = 1.0 / np.sqrt(self.bn_run_var[i] + eps)
-            xhat = np.subtract(a, self.bn_run_mean[i], out=xhat_out)
-        xhat *= inv_std
-        out = np.multiply(xhat, self.bn_scale[i], out=None if xhat_out is None else a)
-        out += self.bn_shift[i]
-        cache = {"xhat": xhat, "inv_std": inv_std, "train": mode == "train"}
-        return out, cache
+    def _bn_forward(self, i, a, update_stats, work):
+        """Train-mode batch norm of a, written over a: (a - mean) * k + shift
+        with k = inv_std * scale.  Caches the centred input xc and inv_std."""
+        n = a.shape[0]
+        mu = a.mean(axis=0)
+        xc = np.subtract(a, mu, out=work.buf(("xc", i), *a.shape))
+        var = np.einsum("ij,ij->j", xc, xc) / n  # a.var(axis=0)
+        inv_std = 1.0 / np.sqrt(var + self.bn_eps)
+        if update_stats:
+            mom = self.bn_momentum
+            unbiased = var * (n / (n - 1)) if n > 1 else var
+            self.bn_run_mean[i][...] = (1 - mom) * self.bn_run_mean[i] + mom * mu
+            self.bn_run_var[i][...] = (1 - mom) * self.bn_run_var[i] + mom * unbiased
+        np.multiply(xc, inv_std * self.bn_scale[i], out=a)
+        a += self.bn_shift[i]
+        return {"xc": xc, "inv_std": inv_std}
 
     def _bn_backward(self, i, dout, cache, work):
-        """d loss / d a, written over dout; dscale and dshift go to the
-        workspace gradient."""
-        xhat, inv_std = cache["xhat"], cache["inv_std"]
-        tmp = work.buf(("bn", i), *dout.shape)
-        np.sum(np.multiply(dout, xhat, out=tmp), axis=0, out=work.grads[f"bn{i}_scale"])
-        np.sum(dout, axis=0, out=work.grads[f"bn{i}_shift"])
-        dxhat = np.multiply(dout, self.bn_scale[i], out=dout)
-        if not cache["train"]:
-            return np.multiply(dxhat, inv_std, out=dxhat)
-        # (inv_std / b) * (b * dxhat - sum(dxhat) - xhat * sum(dxhat * xhat))
-        b = dout.shape[0]
-        s1 = dxhat.sum(axis=0)
-        s2 = np.sum(np.multiply(dxhat, xhat, out=tmp), axis=0)
-        dxhat *= b
-        dxhat -= s1
-        dxhat -= np.multiply(xhat, s2, out=tmp)
-        return np.multiply(inv_std / b, dxhat, out=dxhat)
+        """d loss / d a of train-mode batch norm, written over dout; dscale
+        and dshift go to the workspace gradient."""
+        xc, inv_std = cache["xc"], cache["inv_std"]
+        n = dout.shape[0]
+        dshift = np.sum(dout, axis=0, out=work.grads[f"bn{i}_shift"])
+        dscale = np.einsum("ij,ij->j", dout, xc, out=work.grads[f"bn{i}_scale"])
+        dscale *= inv_std
+        # k * (dout - dshift / n - xc * (inv_std * dscale / n)), k = inv_std * scale
+        tmp = np.multiply(xc, inv_std * dscale / n, out=work.buf(("bn", i), *dout.shape))
+        dout -= dshift / n
+        dout -= tmp
+        return np.multiply(dout, inv_std * self.bn_scale[i], out=dout)
+
+    def _folded_bn(self, i):
+        """Eval-mode batch norm and the bias as one affine: (k, c) with
+        bn(h @ W + b) = (h @ W) * k + c under the running statistics."""
+        k = self.bn_scale[i] / np.sqrt(self.bn_run_var[i] + self.bn_eps)
+        return k, (self.biases[i] - self.bn_run_mean[i]) * k + self.bn_shift[i]
+
+    def _relu_dropout_mask(self, i, a, rng, work):
+        """One mask per hidden layer: 1/keep where a > 0 and the unit is kept
+        (one uniform draw per entry), else 0; ReLU and inverted dropout are
+        then a * mask, and their backward is dh * mask."""
+        pos = np.greater(a, 0.0, out=work.buf(("pos", i), *a.shape, bool))
+        mask, keep = work.buf(("mask", i), *a.shape), 1.0 - self.dropout
+        if self.dropout > 0.0:
+            pos &= np.less(rng.random(out=mask), keep, out=work.buf(("kept", i), *a.shape, bool))
+        return np.multiply(pos, 1.0 / keep, out=mask)
 
     def forward(self, X, mode="eval", rng=None, want_cache=False, update_stats=None,
                 work=None):
@@ -189,7 +193,9 @@ class Mlp:
 
         Train mode writes every per-row array into work, a Workspace of this
         network (a fresh one when None), so the output and the cache are
-        views valid until its next train-mode call.  Eval mode allocates.
+        views valid until its next train-mode call; want_cache only adds the
+        cache to the return value.  Eval mode allocates, folds batch norm
+        into one affine per layer and keeps no cache.
         """
         if mode not in ("train", "eval"):
             raise ConfigurationError(f"unknown mode {mode!r}")
@@ -201,34 +207,32 @@ class Mlp:
                 f"input shape {X.shape} does not match input width {self.layer_sizes[0]}"
             )
         train = mode == "train"
+        if want_cache and not train:
+            raise ConfigurationError("only a train-mode forward keeps a cache for backward")
         if train and self.dropout > 0.0 and rng is None:
             raise ConfigurationError("train-mode forward with dropout needs an rng")
         if train and work is None:
             work = Workspace(self)
         n = X.shape[0]
 
-        # eval without a cache needs no intermediates, so its layers work in place
         layers, h = [], X
         for i in range(self.n_hidden):
             width = self.layer_sizes[i + 1]
             a = np.matmul(h, self.weights[i], out=work.buf(("a", i), n, width) if train else None)
-            a += self.biases[i]
             if train:
-                xhat_out, r = work.buf(("xhat", i), n, width), work.buf(("h", i), n, width)
+                a += self.biases[i]
+                bn = self._bn_forward(i, a, update_stats, work) if self.batchnorm else None
+                mask = self._relu_dropout_mask(i, a, rng, work)
+                layers.append({"inp": h, "bn": bn, "mask": mask})
+                h = np.multiply(a, mask, out=a)
+                continue
+            if self.batchnorm:
+                k, c = self._folded_bn(i)
+                a *= k
+                a += c
             else:
-                xhat_out = r = None if want_cache else a
-            bn_out, bn_cache = (self._bn_forward(i, a, mode, update_stats, xhat_out)
-                                if self.batchnorm else (a, None))
-            r = np.maximum(bn_out, 0.0, out=r)
-            mask = None
-            if self.dropout > 0.0 and train:
-                keep = 1.0 - self.dropout
-                mask = rng.random(out=work.buf(("mask", i), n, width))
-                np.less(mask, keep, out=mask)
-                mask /= keep
-                r *= mask
-            layers.append({"inp": h, "bn": bn_cache, "relu_in": bn_out, "mask": mask})
-            h = r
+                a += self.biases[i]
+            h = np.maximum(a, 0.0, out=a)
         out = h
         if self.n_layers:
             out = np.matmul(h, self.weights[-1],
@@ -243,8 +247,8 @@ class Mlp:
 
     def backward(self, dout, cache):
         """(flat gradient laid out like flat_params, d loss / d input) of a
-        scalar loss given d loss / d output; a train-mode cache writes both
-        into its workspace, an eval-mode cache gets fresh arrays."""
+        scalar loss given d loss / d output and the cache of a train-mode
+        forward; both are written into the cache's workspace."""
         work = cache.get("work") or Workspace(self)
         if self.n_layers == 0:
             return work.grad, np.asarray(dout, dtype=float)
@@ -253,18 +257,16 @@ class Mlp:
         dlogits = np.asarray(dout, dtype=float)
         if self.out_activation == "softmax":
             p = final["probs"]
-            dl = work.buf("dlogits", n, p.shape[1])
-            s = np.multiply(dlogits, p, out=dl).sum(axis=1, keepdims=True)
-            dlogits = np.multiply(p, np.subtract(dlogits, s, out=dl), out=dl)
+            s = np.einsum("ij,ij->i", dlogits, p)[:, None]
+            dlogits = np.subtract(dlogits, s, out=work.buf("dlogits", n, p.shape[1]))
+            dlogits *= p
         np.matmul(final["inp"].T, dlogits, out=grads[f"w{last}"])
         np.sum(dlogits, axis=0, out=grads[f"b{last}"])
         dh = np.matmul(dlogits, self.weights[-1].T,
                        out=work.buf(("dh", last), n, self.layer_sizes[last]))
         for i in range(self.n_hidden - 1, -1, -1):
             layer = cache["layers"][i]
-            if layer["mask"] is not None:
-                dh *= layer["mask"]
-            dh *= np.greater(layer["relu_in"], 0.0, out=work.buf(("pos", i), *dh.shape, bool))
+            dh *= layer["mask"]
             if self.batchnorm:
                 dh = self._bn_backward(i, dh, layer["bn"], work)
             np.matmul(layer["inp"].T, dh, out=grads[f"w{i}"])

@@ -151,9 +151,11 @@ class KernelBasisSet:
             raise ValidationError(
                 f"observations have {X.shape[1]} dims, bases have {self.bases.shape[1]}"
             )
-        # in place where possible: the M x K x D difference is the largest array
-        diff = X[:, None, :] - self.bases[None, :, :]
-        logits = np.square(diff, out=diff).sum(axis=-1)
+        # one dimension at a time into the M x K logits, so no M x K x D array
+        logits = np.zeros((X.shape[0], self.n_bases))
+        sq = np.empty_like(logits)
+        for x, b in zip(X.T, self.bases.T):
+            logits += np.square(np.subtract(x[:, None], b, out=sq), out=sq)
         logits *= -self.gamma
         logits -= logits.max(axis=1, keepdims=True)
         w = np.exp(logits, out=logits)

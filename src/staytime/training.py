@@ -495,7 +495,7 @@ class _Components:
             self.gnet.backward(np.multiply(gz_rows, u[:, None], out=prod), gcache)
         if decay.trainable:
             lam, expo = decay.value, batch.exponents
-            s_rows = np.multiply(gz_rows, W, out=prod).sum(axis=1)
+            s_rows = np.einsum("ij,ij->i", gz_rows, W)
             dldlam = float(np.sum(s_rows * u * expo) / lam)
             if config.normalize_ctr:
                 # the totals also move with the decay value

@@ -7,7 +7,7 @@ from staytime import AdamState, ConfigurationError, Mlp, adam_step, grad_check
 from staytime.nn import Workspace, log_sigmoid, relu, softmax
 
 
-def mse_closure(net, X, y, mode="eval", update_stats=False):
+def mse_closure(net, X, y, mode="train", update_stats=False):
     """Deterministic loss-and-grads closure over the current parameters."""
 
     def loss_and_grads():
@@ -65,6 +65,36 @@ class TestForward:
             net.forward(np.zeros((3, 4)), mode="train")
 
 
+class TestFoldedEval:
+    @pytest.mark.parametrize("out_activation", ["identity", "softmax"])
+    def test_matches_unfolded_batchnorm_formula(self, out_activation):
+        rng = np.random.default_rng(24)
+        net = Mlp([4, 9, 3], out_activation=out_activation, dropout=0.3, rng=rng)
+        # non-trivial running statistics, then biases, scales and shifts
+        for _ in range(3):
+            out, cache = net.forward(rng.normal(1.0, 2.0, size=(32, 4)), mode="train",
+                                     rng=rng, want_cache=True)
+        grad, _ = net.backward(rng.normal(size=out.shape), cache)
+        adam_step([net.flat_params], grad, AdamState(lr=0.05))
+        for v in (net.biases[0], net.bn_run_mean[0], net.bn_run_var[0] - 1.0,
+                  net.bn_scale[0] - 1.0, net.bn_shift[0]):
+            assert np.all(v != 0.0)
+        X = rng.normal(size=(50, 4))
+        (W0, W1), (b0, b1) = net.weights, net.biases
+        rm, rv = net.bn_run_mean[0], net.bn_run_var[0]
+        h = relu((X @ W0 + b0 - rm) / np.sqrt(rv + net.bn_eps) * net.bn_scale[0]
+                 + net.bn_shift[0])
+        expected = h @ W1 + b1
+        if out_activation == "softmax":
+            expected = softmax(expected, axis=1)
+        np.testing.assert_allclose(net.forward(X), expected, rtol=1e-12)
+
+    def test_eval_mode_keeps_no_cache(self):
+        net = Mlp([4, 6, 1], rng=0)
+        with pytest.raises(ConfigurationError):
+            net.forward(np.zeros((3, 4)), want_cache=True)
+
+
 class TestSoftmax:
     def test_shift_invariance(self):
         rng = np.random.default_rng(4)
@@ -89,7 +119,8 @@ class TestBatchNorm:
         net = Mlp([4, 16, 1], batchnorm=True, dropout=0.0, rng=rng)
         X = rng.normal(loc=3.0, scale=2.5, size=(64, 4))
         _, cache = net.forward(X, mode="train", want_cache=True, update_stats=False)
-        xhat = cache["layers"][0]["bn"]["xhat"]
+        bn = cache["layers"][0]["bn"]
+        xhat = bn["xc"] * bn["inv_std"]
         np.testing.assert_allclose(xhat.mean(axis=0), 0.0, atol=1e-6)
         np.testing.assert_allclose(xhat.var(axis=0), 1.0, atol=1e-4)
 
@@ -141,6 +172,20 @@ class TestDropout:
         mask = cache["layers"][0]["mask"]
         assert set(np.unique(mask)) <= {0.0, 2.0}
 
+    @pytest.mark.parametrize("n", [1, 7, 64])
+    def test_one_uniform_draw_per_hidden_unit(self, n):
+        # a train-mode forward takes random((n, 16)) then random((n, 12)) from
+        # its generator, and keeps a unit only where its draw is below keep
+        net = Mlp([3, 16, 12, 5], dropout=0.5, rng=0)
+        X = np.random.default_rng(1).normal(size=(n, 3))
+        rng, ref = np.random.default_rng(23), np.random.default_rng(23)
+        _, cache = net.forward(X, mode="train", rng=rng, want_cache=True)
+        draws = [ref.random((n, 16)), ref.random((n, 12))]
+        assert rng.bit_generator.state == ref.bit_generator.state
+        for layer, d in zip(cache["layers"], draws):
+            assert set(np.unique(layer["mask"])) <= {0.0, 1.0 / 0.5}
+            assert not np.any((layer["mask"] > 0) & (d >= 0.5))
+
     def test_zero_rate_is_identity(self):
         rng = np.random.default_rng(10)
         net = Mlp([3, 8, 2], batchnorm=False, dropout=0.0, rng=rng)
@@ -170,16 +215,6 @@ class TestBackward:
         assert max(report.values()) < 1e-3
         assert set(report) == {"w0", "b0", "w1", "b1", "bn0_scale", "bn0_shift"}
 
-    def test_eval_mode_batchnorm_gradients(self):
-        rng = np.random.default_rng(13)
-        net = Mlp([4, 10, 1], batchnorm=True, dropout=0.0, rng=rng)
-        # give the running stats a nontrivial history first
-        net.forward(rng.normal(size=(64, 4)), mode="train")
-        X = rng.normal(size=(8, 4))
-        y = rng.normal(size=8)
-        report = grad_check(net.params(), mse_closure(net, X, y, mode="eval"))
-        assert max(report.values()) < 1e-3
-
     def test_softmax_head_gradients(self):
         rng = np.random.default_rng(14)
         net = Mlp([3, 8, 5], out_activation="softmax", batchnorm=True,
@@ -203,7 +238,7 @@ class TestBackward:
         X = rng.normal(size=(5, 4))
         y = rng.normal(size=5)
 
-        out, cache = net.forward(X, mode="eval", want_cache=True)
+        out, cache = net.forward(X, mode="train", want_cache=True, update_stats=False)
         dpred = 2.0 * (out[:, 0] - y) / 5.0
         _, dx = net.backward(dpred[:, None], cache)
 
@@ -213,8 +248,8 @@ class TestBackward:
                 Xp, Xm = X.copy(), X.copy()
                 Xp[i, j] += eps
                 Xm[i, j] -= eps
-                lp = np.mean((net.forward(Xp)[:, 0] - y) ** 2)
-                lm = np.mean((net.forward(Xm)[:, 0] - y) ** 2)
+                lp = np.mean((net.forward(Xp, mode="train", update_stats=False)[:, 0] - y) ** 2)
+                lm = np.mean((net.forward(Xm, mode="train", update_stats=False)[:, 0] - y) ** 2)
                 assert dx[i, j] == pytest.approx((lp - lm) / (2 * eps), rel=1e-4, abs=1e-10)
 
 

@@ -127,6 +127,27 @@ class TestKernelBasisSet:
             basis.weights(X), raw / raw.sum(axis=1, keepdims=True), rtol=1e-12
         )
 
+    @pytest.mark.parametrize("gamma", [0.01, 1.0, 100.0])
+    @pytest.mark.parametrize("d", [1, 2, 7, 12])
+    def test_per_dimension_sum_matches_broadcast_formula(self, d, gamma):
+        # the M x K x D broadcast that the per-dimension sum replaced, kept
+        # as the reference: numpy sums fewer than 8 terms in order, so the
+        # bits agree up to D = 7; from D = 8 on it groups them differently
+        rng = np.random.default_rng(d)
+        basis = KernelBasisSet(rng.normal(size=(40, d)), gamma=gamma)
+        X = rng.normal(size=(300, d))
+        diff = X[:, None, :] - basis.bases[None, :, :]
+        logits = np.square(diff, out=diff).sum(axis=-1)
+        logits *= -gamma
+        logits -= logits.max(axis=1, keepdims=True)
+        ref = np.exp(logits)
+        ref /= ref.sum(axis=1, keepdims=True)
+        if d < 8:
+            np.testing.assert_array_equal(basis.weights(X), ref)
+        else:  # a subnormal weight (gamma 100) keeps only absolute precision
+            np.testing.assert_allclose(basis.weights(X), ref, rtol=1e-12,
+                                       atol=np.finfo(float).tiny)
+
     def test_stable_far_from_all_bases(self):
         basis = KernelBasisSet(np.array([[0.0], [1.0]]), gamma=10.0)
         w = basis.weights(np.array([[1e3]]))
