@@ -30,7 +30,7 @@ from .states import (
 )
 from .training import Standardizer, TrainConfig, TrainedModel
 
-FORMAT_VERSION = 1
+FORMAT_VERSION = 2
 _ZIP_EPOCH = (1980, 1, 1, 0, 0, 0)  # zip format's own epoch; fixed for determinism
 
 

@@ -507,10 +507,10 @@ def main(argv=None) -> int:
         return int(exc.code or 0)
     try:
         return args.func(args)
-    except StayTimeError as exc:
-        _emit_error(type(exc).__name__, str(exc))
+    except MemoryError as exc:  # numpy's _ArrayMemoryError too
+        _emit_error("MemoryError", str(exc) or "out of memory")
         return 1
-    except OSError as exc:
+    except (StayTimeError, OSError) as exc:
         _emit_error(type(exc).__name__, str(exc))
         return 1
 

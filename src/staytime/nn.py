@@ -1,7 +1,8 @@
 """Minimal dense network stack with verifiable analytic gradients.
 
-Everything is float64 numpy.  A hidden layer is linear -> batch norm -> ReLU
--> inverted dropout; the output layer is linear with an optional softmax.
+Everything is float64 numpy.  A hidden layer is h @ W -> batch norm -> + b
+-> ReLU -> inverted dropout, its one bias b serving as batch norm's shift; the
+output layer is h @ W + b with an optional softmax.
 Batch norm keeps running statistics for eval mode, which folds it with the
 bias into one affine; train mode uses the batch statistics and backpropagates
 through them.  The Adam step and the central finite-difference gradient
@@ -16,6 +17,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ConfigurationError, ContractError
+
+BN_EPS = 1e-5  # added to the batch-norm variance
+BN_MOMENTUM = 0.1  # weight of each train batch in the running statistics
 
 
 def relu(x):
@@ -65,10 +69,11 @@ class Mlp:
     """
 
     def __init__(self, layer_sizes, out_activation="identity", batchnorm=True,
-                 dropout=0.0, rng=None, bn_eps=1e-5, bn_momentum=0.1):
+                 dropout=0.0, rng=None):
         layer_sizes = [int(s) for s in layer_sizes]
-        if len(layer_sizes) < 1 or any(s < 1 for s in layer_sizes):
-            raise ConfigurationError(f"bad layer sizes {layer_sizes}")
+        if len(layer_sizes) < 2 or any(s < 1 for s in layer_sizes):
+            raise ConfigurationError(f"bad layer sizes {layer_sizes}: need an input and "
+                                     "an output width, each at least 1")
         if out_activation not in ("identity", "softmax"):
             raise ConfigurationError(f"unknown output activation {out_activation!r}")
         if not 0.0 <= dropout < 1.0:
@@ -81,17 +86,14 @@ class Mlp:
         self.out_activation = out_activation
         self.batchnorm = bool(batchnorm)
         self.dropout = float(dropout)
-        self.bn_eps = float(bn_eps)
-        self.bn_momentum = float(bn_momentum)
 
         n_layers = len(layer_sizes) - 1
-        hidden = range(max(n_layers - 1, 0) if self.batchnorm else 0)
+        hidden = range(n_layers - 1 if self.batchnorm else 0)
         shapes = self._shapes = {}
         for i in range(n_layers):
             shapes[f"w{i}"] = (layer_sizes[i], layer_sizes[i + 1])
             shapes[f"b{i}"] = (layer_sizes[i + 1],)
-        shapes.update({f"bn{i}_{k}": (layer_sizes[i + 1],)
-                       for i in hidden for k in ("scale", "shift")})
+        shapes.update({f"bn{i}_scale": (layer_sizes[i + 1],) for i in hidden})
         self.n_params = sum(int(np.prod(s)) for s in shapes.values())  # statistics follow
         shapes.update({f"bn{i}_{k}": (layer_sizes[i + 1],)
                        for i in hidden for k in ("run_mean", "run_var")})
@@ -100,8 +102,8 @@ class Mlp:
         views = self.blocks(self.flat)
         self.weights = [views[f"w{i}"] for i in range(n_layers)]
         self.biases = [views[f"b{i}"] for i in range(n_layers)]
-        self.bn_scale, self.bn_shift, self.bn_run_mean, self.bn_run_var = (
-            [views[f"bn{i}_{k}"] for i in hidden] for k in ("scale", "shift", "run_mean", "run_var")
+        self.bn_scale, self.bn_run_mean, self.bn_run_var = (
+            [views[f"bn{i}_{k}"] for i in hidden] for k in ("scale", "run_mean", "run_var")
         )
         for w in self.weights:
             limit = np.sqrt(6.0 / w.shape[0])
@@ -115,7 +117,7 @@ class Mlp:
 
     @property
     def n_hidden(self) -> int:
-        return max(self.n_layers - 1, 0)
+        return self.n_layers - 1
 
     def blocks(self, vec) -> dict:
         """Named reshaped views of a vector laid out like flat: every block
@@ -137,28 +139,28 @@ class Mlp:
         return self.blocks(self.flat)
 
     def _bn_forward(self, i, a, update_stats, work):
-        """Train-mode batch norm of a, written over a: (a - mean) * k + shift
-        with k = inv_std * scale.  Caches the centred input xc and inv_std."""
+        """Train-mode batch norm of a, written over a: (a - mean) * k with
+        k = inv_std * scale; the layer bias is its shift.  Caches the centred
+        input xc and inv_std."""
         n = a.shape[0]
         mu = a.mean(axis=0)
         xc = np.subtract(a, mu, out=work.buf(("xc", i), *a.shape))
         var = np.einsum("ij,ij->j", xc, xc) / n  # a.var(axis=0)
-        inv_std = 1.0 / np.sqrt(var + self.bn_eps)
+        inv_std = 1.0 / np.sqrt(var + BN_EPS)
         if update_stats:
-            mom = self.bn_momentum
+            mom = BN_MOMENTUM
             unbiased = var * (n / (n - 1)) if n > 1 else var
             self.bn_run_mean[i][...] = (1 - mom) * self.bn_run_mean[i] + mom * mu
             self.bn_run_var[i][...] = (1 - mom) * self.bn_run_var[i] + mom * unbiased
         np.multiply(xc, inv_std * self.bn_scale[i], out=a)
-        a += self.bn_shift[i]
         return {"xc": xc, "inv_std": inv_std}
 
-    def _bn_backward(self, i, dout, cache, work):
-        """d loss / d a of train-mode batch norm, written over dout; dscale
-        and dshift go to the workspace gradient."""
+    def _bn_backward(self, i, dout, cache, dshift, work):
+        """d loss / d a of train-mode batch norm, written over dout, given
+        dshift = dout summed over rows (the layer bias's gradient); dscale
+        goes to the workspace gradient."""
         xc, inv_std = cache["xc"], cache["inv_std"]
         n = dout.shape[0]
-        dshift = np.sum(dout, axis=0, out=work.grads[f"bn{i}_shift"])
         dscale = np.einsum("ij,ij->j", dout, xc, out=work.grads[f"bn{i}_scale"])
         dscale *= inv_std
         # k * (dout - dshift / n - xc * (inv_std * dscale / n)), k = inv_std * scale
@@ -169,9 +171,9 @@ class Mlp:
 
     def _folded_bn(self, i):
         """Eval-mode batch norm and the bias as one affine: (k, c) with
-        bn(h @ W + b) = (h @ W) * k + c under the running statistics."""
-        k = self.bn_scale[i] / np.sqrt(self.bn_run_var[i] + self.bn_eps)
-        return k, (self.biases[i] - self.bn_run_mean[i]) * k + self.bn_shift[i]
+        bn(h @ W) + b = (h @ W) * k + c under the running statistics."""
+        k = self.bn_scale[i] / np.sqrt(self.bn_run_var[i] + BN_EPS)
+        return k, self.biases[i] - self.bn_run_mean[i] * k
 
     def _relu_dropout_mask(self, i, a, rng, work):
         """One mask per hidden layer: 1/keep where a > 0 and the unit is kept
@@ -220,27 +222,24 @@ class Mlp:
             width = self.layer_sizes[i + 1]
             a = np.matmul(h, self.weights[i], out=work.buf(("a", i), n, width) if train else None)
             if train:
-                a += self.biases[i]
                 bn = self._bn_forward(i, a, update_stats, work) if self.batchnorm else None
+                a += self.biases[i]
                 mask = self._relu_dropout_mask(i, a, rng, work)
                 layers.append({"inp": h, "bn": bn, "mask": mask})
                 h = np.multiply(a, mask, out=a)
                 continue
+            c = self.biases[i]
             if self.batchnorm:
                 k, c = self._folded_bn(i)
                 a *= k
-                a += c
-            else:
-                a += self.biases[i]
+            a += c
             h = np.maximum(a, 0.0, out=a)
-        out = h
-        if self.n_layers:
-            out = np.matmul(h, self.weights[-1],
-                            out=work.buf("out", n, self.layer_sizes[-1]) if train else None)
-            out += self.biases[-1]
+        out = np.matmul(h, self.weights[-1],
+                        out=work.buf("out", n, self.layer_sizes[-1]) if train else None)
+        out += self.biases[-1]
         final = {"inp": h}
         if self.out_activation == "softmax":  # in place over the last layer's output
-            out = final["probs"] = softmax(out, axis=1, out=out if self.n_layers else None)
+            out = final["probs"] = softmax(out, axis=1, out=out)
         if want_cache:
             return out, {"layers": layers, "final": final, "work": work}
         return out
@@ -250,8 +249,6 @@ class Mlp:
         scalar loss given d loss / d output and the cache of a train-mode
         forward; both are written into the cache's workspace."""
         work = cache.get("work") or Workspace(self)
-        if self.n_layers == 0:
-            return work.grad, np.asarray(dout, dtype=float)
         final, grads = cache["final"], work.grads
         n, last = final["inp"].shape[0], self.n_layers - 1
         dlogits = np.asarray(dout, dtype=float)
@@ -267,14 +264,14 @@ class Mlp:
         for i in range(self.n_hidden - 1, -1, -1):
             layer = cache["layers"][i]
             dh *= layer["mask"]
+            db = np.sum(dh, axis=0, out=grads[f"b{i}"])
             if self.batchnorm:
-                dh = self._bn_backward(i, dh, layer["bn"], work)
+                dh = self._bn_backward(i, dh, layer["bn"], db, work)
             np.matmul(layer["inp"].T, dh, out=grads[f"w{i}"])
-            np.sum(dh, axis=0, out=grads[f"b{i}"])
             dh = np.matmul(dh, self.weights[i].T, out=work.buf(("dh", i), n, self.layer_sizes[i]))
         return work.grad, dh
 
-    _META = ("out_activation", "batchnorm", "dropout", "bn_eps", "bn_momentum")
+    _META = ("out_activation", "batchnorm", "dropout")
 
     def meta(self) -> dict:
         return {"layer_sizes": list(self.layer_sizes), **{k: getattr(self, k) for k in self._META}}

@@ -1,5 +1,7 @@
 """Checkpoint container: bit-exact round trips for every model kind."""
 
+import json
+
 import numpy as np
 import pytest
 
@@ -22,6 +24,17 @@ def test_roundtrip_predictions_bit_identical(tmp_path, model):
     assert loaded.best_epoch == trained.best_epoch
     assert loaded.best_val_score == trained.best_val_score
     assert loaded.history == trained.history
+
+
+@pytest.mark.parametrize("model", ["ctr-d", "ctr-n", "static"])
+def test_one_layer_networks_roundtrip(tmp_path, model):
+    # no hidden layer in f or g: each network is one linear layer
+    data = toy_dataset(n=24)
+    trained = train_model(data, tiny_config(model, epochs=3, f_hidden=(), g_hidden=()))
+    assert trained.predictor.n_hidden == 0
+    save_checkpoint(trained, tmp_path / "m.npz")
+    loaded = load_checkpoint(tmp_path / "m.npz")
+    np.testing.assert_array_equal(trained.predict(data), loaded.predict(data))
 
 
 def test_save_load_save_bytes_identical(tmp_path):
@@ -64,4 +77,12 @@ def test_garbage_file_rejected(tmp_path):
     path = tmp_path / "junk.npz"
     np.savez(path, stuff=np.arange(3))
     with pytest.raises(ValidationError, match="not a model checkpoint"):
+        load_checkpoint(path)
+
+
+def test_other_format_version_rejected(tmp_path):
+    path = tmp_path / "old.npz"
+    meta = json.dumps({"format_version": 1}).encode("utf-8")
+    np.savez(path, meta=np.frombuffer(meta, dtype=np.uint8))
+    with pytest.raises(ValidationError, match="unsupported checkpoint version 1$"):
         load_checkpoint(path)

@@ -556,3 +556,29 @@ class TestFileSystemErrors:
         assert (code, stdout) == (1, "")
         assert one_error_line(stderr)["error"] == error
         assert snapshot(tmp_path) == before
+
+
+def _array_memory_error():
+    # numpy's subclass, raised when an array cannot be allocated; building it
+    # allocates nothing
+    try:
+        from numpy._core._exceptions import _ArrayMemoryError
+    except ImportError:  # numpy < 2
+        from numpy.core._exceptions import _ArrayMemoryError
+    return _ArrayMemoryError((10**6, 10**6), np.dtype(float))
+
+
+class TestMemoryError:
+    """Running out of memory is one JSON line and exit 1, not a traceback."""
+
+    @pytest.mark.parametrize("make_error", [MemoryError, _array_memory_error],
+                             ids=["MemoryError", "ArrayMemoryError"])
+    def test_one_json_line(self, capsys, monkeypatch, make_error):
+        def out_of_memory(args):
+            raise make_error()
+
+        monkeypatch.setattr(staytime.cli, "cmd_generate", out_of_memory)
+        code, stdout, stderr = run(capsys, "generate", "--seed", "0")
+        assert (code, stdout) == (1, "")
+        message = str(make_error()) or "out of memory"
+        assert one_error_line(stderr) == {"error": "MemoryError", "message": message}

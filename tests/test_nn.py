@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from staytime import AdamState, ConfigurationError, Mlp, adam_step, grad_check
-from staytime.nn import Workspace, log_sigmoid, relu, softmax
+from staytime.nn import BN_EPS, Workspace, log_sigmoid, relu, softmax
 
 
 def mse_closure(net, X, y, mode="train", update_stats=False):
@@ -30,12 +30,12 @@ class TestForward:
         np.testing.assert_allclose(net.forward(X), expected, rtol=1e-15)
 
     def test_fresh_batchnorm_eval_is_near_identity_affine(self):
-        # running stats start at mean 0, var 1, scale 1, shift 0
+        # running stats start at mean 0, var 1, scale 1, bias 0
         rng = np.random.default_rng(1)
         net = Mlp([4, 6, 3], batchnorm=True, dropout=0.0, rng=rng)
         X = rng.normal(size=(5, 4))
-        a = X @ net.weights[0] + net.biases[0]
-        expected = relu(a / np.sqrt(1 + net.bn_eps)) @ net.weights[1] + net.biases[1]
+        a = X @ net.weights[0]
+        expected = relu(a / np.sqrt(1 + BN_EPS) + net.biases[0]) @ net.weights[1] + net.biases[1]
         np.testing.assert_allclose(net.forward(X), expected, rtol=1e-12)
 
     def test_softmax_head_rows_are_distributions(self):
@@ -45,14 +45,11 @@ class TestForward:
         assert np.all(P >= 0)
         np.testing.assert_allclose(P.sum(axis=1), np.ones(20), atol=1e-12)
 
-    def test_degenerate_zero_parameter_network(self):
-        net = Mlp([4])
-        X = np.random.default_rng(3).normal(size=(5, 4))
-        np.testing.assert_array_equal(net.forward(X), X)
-        assert net.params() == {}
-        grad, dx = net.backward(np.ones((5, 4)), {"layers": [], "final": {"inp": X}})
-        assert grad.size == 0
-        np.testing.assert_array_equal(dx, np.ones((5, 4)))
+    def test_fewer_than_two_layer_sizes_rejected(self):
+        # every network has at least one layer: an input and an output width
+        for sizes in ([4], []):
+            with pytest.raises(ConfigurationError, match="bad layer sizes"):
+                Mlp(sizes)
 
     def test_input_width_checked(self):
         net = Mlp([4, 2])
@@ -70,20 +67,19 @@ class TestFoldedEval:
     def test_matches_unfolded_batchnorm_formula(self, out_activation):
         rng = np.random.default_rng(24)
         net = Mlp([4, 9, 3], out_activation=out_activation, dropout=0.3, rng=rng)
-        # non-trivial running statistics, then biases, scales and shifts
+        # non-trivial running statistics, then biases and scales
         for _ in range(3):
             out, cache = net.forward(rng.normal(1.0, 2.0, size=(32, 4)), mode="train",
                                      rng=rng, want_cache=True)
         grad, _ = net.backward(rng.normal(size=out.shape), cache)
         adam_step([net.flat_params], grad, AdamState(lr=0.05))
         for v in (net.biases[0], net.bn_run_mean[0], net.bn_run_var[0] - 1.0,
-                  net.bn_scale[0] - 1.0, net.bn_shift[0]):
+                  net.bn_scale[0] - 1.0):
             assert np.all(v != 0.0)
         X = rng.normal(size=(50, 4))
         (W0, W1), (b0, b1) = net.weights, net.biases
         rm, rv = net.bn_run_mean[0], net.bn_run_var[0]
-        h = relu((X @ W0 + b0 - rm) / np.sqrt(rv + net.bn_eps) * net.bn_scale[0]
-                 + net.bn_shift[0])
+        h = relu((X @ W0 - rm) / np.sqrt(rv + BN_EPS) * net.bn_scale[0] + b0)
         expected = h @ W1 + b1
         if out_activation == "softmax":
             expected = softmax(expected, axis=1)
@@ -128,7 +124,7 @@ class TestBatchNorm:
         rng = np.random.default_rng(6)
         net = Mlp([2, 8, 1], batchnorm=True, dropout=0.0, rng=rng)
         X = rng.normal(loc=-1.0, scale=0.5, size=(256, 2))
-        a = X @ net.weights[0] + net.biases[0]
+        a = X @ net.weights[0]
         for _ in range(500):
             net.forward(X, mode="train")
         np.testing.assert_allclose(net.bn_run_mean[0], a.mean(axis=0), rtol=1e-6)
@@ -213,7 +209,7 @@ class TestBackward:
         y = rng.normal(size=8)
         report = grad_check(net.params(), mse_closure(net, X, y, mode="train"))
         assert max(report.values()) < 1e-3
-        assert set(report) == {"w0", "b0", "w1", "b1", "bn0_scale", "bn0_shift"}
+        assert set(report) == {"w0", "b0", "w1", "b1", "bn0_scale"}
 
     def test_softmax_head_gradients(self):
         rng = np.random.default_rng(14)
@@ -231,6 +227,18 @@ class TestBackward:
 
         report = grad_check(net.params(), loss_and_grads)
         assert max(report.values()) < 1e-3
+
+    def test_every_parameter_block_gets_a_gradient(self):
+        # a bias added before train-mode batch norm cancels against the batch
+        # mean and gets a gradient of rounding noise (about 1e-15); each layer's
+        # one bias comes after batch norm, so no block of params() is dead
+        rng = np.random.default_rng(25)
+        net = Mlp([3, 8, 6, 2], dropout=0.0, rng=rng)
+        out, cache = net.forward(rng.normal(size=(32, 3)), mode="train", want_cache=True)
+        grad, _ = net.backward(rng.normal(size=out.shape), cache)
+        assert list(net.blocks(grad)) == list(net.params())
+        for name, g in net.blocks(grad).items():
+            assert np.abs(g).max() > 1e-6, name
 
     def test_input_gradients(self):
         rng = np.random.default_rng(15)
@@ -360,8 +368,7 @@ class TestWorkspace:
 
     def test_flat_vector_views(self):
         net = Mlp([3, 5, 4, 2], rng=2)
-        names = ["w0", "b0", "w1", "b1", "w2", "b2",
-                 "bn0_scale", "bn0_shift", "bn1_scale", "bn1_shift"]
+        names = ["w0", "b0", "w1", "b1", "w2", "b2", "bn0_scale", "bn1_scale"]
         assert list(net.params()) == names
         assert list(net.state_arrays()) == names + [
             "bn0_run_mean", "bn0_run_var", "bn1_run_mean", "bn1_run_var"]

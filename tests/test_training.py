@@ -370,7 +370,7 @@ class TestDivergence:
                 calls.append(1)
                 if len(calls) == 2:  # one batch per epoch: epoch 2
                     blocks = net.blocks(grad)
-                    blocks["bn0_shift"][0] = np.inf
+                    blocks["bn0_scale"][0] = np.inf
                     blocks["b1"][-1] = np.nan
             return grad, dx
 
