@@ -248,7 +248,7 @@ class Mlp:
         """(flat gradient laid out like flat_params, d loss / d input) of a
         scalar loss given d loss / d output and the cache of a train-mode
         forward; both are written into the cache's workspace."""
-        work = cache.get("work") or Workspace(self)
+        work = cache["work"]
         final, grads = cache["final"], work.grads
         n, last = final["inp"].shape[0], self.n_layers - 1
         dlogits = np.asarray(dout, dtype=float)

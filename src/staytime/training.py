@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import dataclasses
 import numbers
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -147,8 +147,8 @@ def _is_number(value) -> bool:
     return isinstance(value, numbers.Real) and not isinstance(value, bool)
 
 
-def _is_positive_int(value) -> bool:
-    return isinstance(value, numbers.Integral) and not isinstance(value, bool) and value > 0
+def _is_count(value, low: int = 1) -> bool:
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool) and value >= low
 
 
 def _is_pair(value) -> bool:
@@ -191,16 +191,15 @@ class TrainConfig:
             raise ConfigurationError(f"unknown model kind {self.model!r}")
         if self.loss not in LOSS_KINDS:
             raise ConfigurationError(f"unknown loss kind {self.loss!r}")
-        if self.epochs < 1:
-            raise ConfigurationError("epochs must be at least 1")
-        if self.batch_size < 1:
-            raise ConfigurationError("batch_size must be at least 1")
+        for name, low in (("epochs", 1), ("batch_size", 1), ("n_bases", 1), ("n_states", 1),
+                          ("seed", 0), ("patience", 0)):
+            value = getattr(self, name)
+            if not _is_count(value, low):
+                raise ConfigurationError(f"{name} must be an integer of at least {low}, got {value!r}")
         if self.loss == "combined" and self.batch_size < 2:
             raise ConfigurationError("the combined loss needs batches of at least 2")
         if not 0.0 < self.val_fraction < 1.0:
             raise ConfigurationError("val_fraction must lie strictly between 0 and 1")
-        if self.patience < 0:
-            raise ConfigurationError("patience must be nonnegative")
         if not 0.0 < self.decay_init <= 1.0:
             raise ConfigurationError("decay_init must lie in (0, 1]")
         if self.decay_trainable and self.decay_init >= 1.0:
@@ -214,8 +213,8 @@ class TrainConfig:
                 object.__setattr__(self, name, tuple(getattr(self, name)))
         for name in ("f_hidden", "g_hidden", "segments"):
             value = getattr(self, name)
-            if not ((name == "segments" and _is_positive_int(value))
-                    or (isinstance(value, tuple) and all(map(_is_positive_int, value)))):
+            if not ((name == "segments" and _is_count(value))
+                    or (isinstance(value, tuple) and all(map(_is_count, value)))):
                 raise ConfigurationError(f"{name} must hold positive integers, got {value!r}")
         vr = self.value_range
         if vr is not None and not (_is_pair(vr) or (isinstance(vr, tuple) and vr
@@ -251,41 +250,51 @@ class TrainConfig:
 
 @dataclass
 class TrainedModel:
-    """A trained predictor plus everything needed to featurize new records."""
+    """A trained predictor plus everything needed to featurize new records.
+
+    It is the one path from records to the predictor's input: training
+    batches, per-epoch validation and scoring all take theirs from _inputs."""
 
     config: TrainConfig
-    predictor: Mlp
-    state: StateFunction | None
-    decay: DecayParameter | None
-    obs_standardizer: Standardizer | None
-    dem_standardizer: Standardizer | None
-    static_standardizer: Standardizer | None
-    history: list
-    best_epoch: int
-    best_val_score: float
+    predictor: Mlp | None = None
+    state: StateFunction | None = None
+    decay: DecayParameter | None = None
+    obs_standardizer: Standardizer | None = None
+    dem_standardizer: Standardizer | None = None
+    static_standardizer: Standardizer | None = None
+    history: list = field(default_factory=list)
+    best_epoch: int = 0
+    best_val_score: float = 0.0
     pairless_batches: int = 0
 
-    def _demographics(self, data: SurvivalDataset) -> np.ndarray | None:
-        if not data.n_demographics:
-            return None
-        dem = data.demographics
-        if self.dem_standardizer is not None:
+    def _inputs(self, data: SurvivalDataset) -> tuple:
+        """(base, dem) of every record, standardized: base is the static
+        features for a static model and the packed records otherwise, dem
+        the demographics or None when there are none."""
+        base = (static_features_batch(data) if self.config.model == "static"
+                else PackedRecords.pack(data))
+        return self._standardized(base, data.demographics if data.n_demographics else None)
+
+    def _standardized(self, base, dem) -> tuple:
+        """base and dem through the model's standardizers, where it has them."""
+        if self.static_standardizer is not None:
+            base = self.static_standardizer.transform(base)
+        if self.obs_standardizer is not None:
+            base = replace(base, rows=self.obs_standardizer.transform(base.rows))
+        if dem is not None and self.dem_standardizer is not None:
             dem = self.dem_standardizer.transform(dem)
-        return dem
+        return base, dem
+
+    def _features_of(self, base, dem) -> np.ndarray:
+        """The eval-mode predictor input of _inputs' (base, dem): the
+        stay-time vectors for the CTR kinds, then the demographics."""
+        if self.config.model != "static":
+            base = stay_time_matrix(base, self.state, self.decay.value, self.config.normalize_ctr)
+        return base if dem is None else np.concatenate([base, dem], axis=1)
 
     def features(self, X) -> np.ndarray:
         """The matrix fed to the predictor for the given records."""
-        data = as_dataset(X)
-        if self.config.model == "static":
-            feats = static_features_batch(data)
-            if self.static_standardizer is not None:
-                feats = self.static_standardizer.transform(feats)
-            return _with_demographics(feats, self._demographics(data))
-        packed = PackedRecords.pack(data)
-        if self.obs_standardizer is not None:
-            packed.rows = self.obs_standardizer.transform(packed.rows)
-        return _ctr_features(packed, self.state, self.decay.value,
-                             self.config.normalize_ctr, self._demographics(data))
+        return self._features_of(*self._inputs(as_dataset(X)))
 
     def predict(self, X) -> np.ndarray:
         """Predicted event time for each record (eval mode, deterministic)."""
@@ -319,18 +328,6 @@ def split_validation(n: int, censored, fraction: float, rng):
     return np.sort(train_idx), np.sort(val_idx)
 
 
-def _with_demographics(X, dem) -> np.ndarray:
-    """Predictor input of every model kind: X, then the standardized
-    demographics when the dataset has any."""
-    return X if dem is None else np.concatenate([X, dem], axis=1)
-
-
-def _ctr_features(packed, state, decay, normalize, dem) -> np.ndarray:
-    """Predictor input in eval mode: stay-time vectors plus demographics.
-    Scoring and per-epoch validation both run through here."""
-    return _with_demographics(stay_time_matrix(packed, state, decay, normalize), dem)
-
-
 class _Components:
     """Everything one configured model needs for a forward/backward pass.
 
@@ -354,42 +351,35 @@ class _Components:
 
         self.train_idx, self.val_idx = train_idx, val_idx = split_validation(
             len(dataset), censored, config.val_fraction, rng_split)
-        standardize = config.wants_standardize
-        obs_std = dem_std = static_std = None
-        self.train_packed = self.val_packed = None
-        if config.model != "static":
-            packed = PackedRecords.pack(dataset)
-            if standardize:
-                obs_std = Standardizer.fit(packed.take(train_idx).rows)
-                packed.rows = obs_std.transform(packed.rows)
-            self.train_packed, self.val_packed = packed.take(train_idx), packed.take(val_idx)
+        # the model trained in place; train_model adds what its epochs found
+        model = self.model = TrainedModel(config)
+        base, dem = model._inputs(dataset)  # raw: no standardizer is fitted yet
+        static = config.model == "static"
+        if config.wants_standardize:
+            # fitted on the training records only, then applied to every record once
+            if static:
+                model.static_standardizer = Standardizer.fit(base[train_idx])
+            else:
+                model.obs_standardizer = Standardizer.fit(base.take(train_idx).rows)
+            if dem is not None:
+                model.dem_standardizer = Standardizer.fit(dem[train_idx], skip_binary=True)
+            base, dem = model._standardized(base, dem)
 
-        self.dem = None
-        if dataset.n_demographics:
-            self.dem = dataset.demographics
-            if standardize:
-                dem_std = Standardizer.fit(self.dem[train_idx], skip_binary=True)
-                self.dem = dem_std.transform(self.dem)
-
-        self.gnet = self.state = self.decay = self.feats_all = None
-        if config.model == "static":
-            feats = static_features_batch(dataset)
-            if standardize:
-                static_std = Standardizer.fit(feats[train_idx])
-                feats = static_std.transform(feats)
-            n_ctr = feats.shape[1]
-            self.feats_all = _with_demographics(feats, self.dem)
+        self.gnet = None
+        if static:
+            n_in = base.shape[1]
         else:
-            self.decay = DecayParameter(config.decay_init, trainable=config.decay_trainable)
+            model.decay = DecayParameter(config.decay_init, trainable=config.decay_trainable)
+            train_rows = base.take(train_idx).rows
             if config.model == "ctr-d":
                 # a configured range describes raw observations; once they are
                 # standardized the grid has to come from the prepped data instead
-                self.state = DiscreteStateFunction.fit(
-                    self.train_packed.rows, config.segments,
-                    None if standardize else config.value_range)
+                model.state = DiscreteStateFunction.fit(
+                    train_rows, config.segments,
+                    None if config.wants_standardize else config.value_range)
             elif config.model == "ctr-k":
-                self.state = KernelStateFunction.fit(
-                    self.train_packed.rows, config.n_bases, config.gamma, rng_bases)
+                model.state = KernelStateFunction.fit(
+                    train_rows, config.n_bases, config.gamma, rng_bases)
             else:
                 self.gnet = Mlp(
                     [dataset.n_features, *config.g_hidden, config.n_states],
@@ -398,21 +388,22 @@ class _Components:
                     dropout=config.dropout,
                     rng=rng_ginit,
                 )
-                self.state = NeuralStateFunction(self.gnet)
-            n_ctr = self.state.n_states
+                model.state = NeuralStateFunction(self.gnet)
+            if config.model != "ctr-n":
+                # a fixed state function: weigh every row once, up front
+                base = base.with_weights(model.state)
+            n_in = model.state.n_states
 
-        n_dem = 0 if self.dem is None else self.dem.shape[1]
-        self.f = Mlp(
-            [n_ctr + n_dem, *config.f_hidden, 1],
+        model.predictor = Mlp(
+            [n_in + (0 if dem is None else dem.shape[1]), *config.f_hidden, 1],
             out_activation="identity",
             batchnorm=config.batchnorm,
             dropout=config.dropout,
             rng=rng_finit,
         )
-        if config.model in ("ctr-d", "ctr-k"):
-            # fixed state functions: weigh every training and validation row once, up front
-            self.train_packed = self.train_packed.with_weights(self.state)
-            self.val_packed = self.val_packed.with_weights(self.state)
+        self.f, self.decay = model.predictor, model.decay
+        self.base, self.dem = base, dem
+        self.val_inputs = self.inputs_at(val_idx)
 
         nets = [net for net in (self.f, self.gnet) if net is not None]
         raw = [self.decay.raw] if self.decay is not None and self.decay.trainable else []
@@ -422,9 +413,11 @@ class _Components:
         self.work = {net: Workspace(net, self.grad[lo:lo + net.n_params])
                      for net, lo in zip(nets, (0, self.f.n_params))}
         self.scratch = Workspace()  # this class's own per-row buffers
-        # the model trained in place; train_model adds what its epochs found
-        self.model = TrainedModel(config, self.f, self.state, self.decay, obs_std, dem_std,
-                                  static_std, history=[], best_epoch=0, best_val_score=0.0)
+
+    def inputs_at(self, idx) -> tuple:
+        """The (base, dem) of the records at the global indices idx."""
+        base = self.base[idx] if self.config.model == "static" else self.base.take(idx)
+        return base, None if self.dem is None else self.dem[idx]
 
     def params(self) -> dict:
         p = {f"f/{k}": v for k, v in self.f.params().items()}
@@ -457,10 +450,9 @@ class _Components:
         flat gradient, written in place."""
         config, decay = self.config, self.decay
         global_idx = self.train_idx[local_idx]
-        if config.model == "static":
-            X = self.feats_all[global_idx]
-        else:
-            batch = self.train_packed.take(local_idx)
+        X, dem = self.inputs_at(global_idx)
+        if config.model != "static":
+            batch = X
             u = batch.stay_times(decay.value)
             W, gcache = batch.weights, None
             if config.model == "ctr-n":
@@ -471,7 +463,9 @@ class _Components:
             starts = batch.offsets[:-1]
             prod = self.scratch.buf("prod", *W.shape)
             Z, totals = segment_ctr(u, W, starts, config.normalize_ctr, scratch=prod)
-            X = _with_demographics(Z, None if self.dem is None else self.dem[global_idx])
+            X = Z
+        if dem is not None:
+            X = np.concatenate([X, dem], axis=1)
         out, fcache = self.f.forward(X, mode="train", rng=rng, want_cache=True,
                                      update_stats=update_stats, work=self.work[self.f])
         preds = out[:, 0]
@@ -506,13 +500,7 @@ class _Components:
         return loss, self.grad
 
     def predict_validation(self) -> np.ndarray:
-        if self.config.model == "static":
-            X = self.feats_all[self.val_idx]
-        else:
-            dem = None if self.dem is None else self.dem[self.val_idx]
-            X = _ctr_features(self.val_packed, self.state, self.decay.value,
-                              self.config.normalize_ctr, dem)
-        return self.f.forward(X)[:, 0]
+        return self.f.forward(self.model._features_of(*self.val_inputs))[:, 0]
 
 
 def train_model(dataset: SurvivalDataset, config: TrainConfig) -> TrainedModel:

@@ -27,6 +27,7 @@ from staytime.training import (
     _Components,
     split_validation,
     static_features,
+    static_features_batch,
     train_model,
 )
 
@@ -164,6 +165,23 @@ class TestTrainConfig:
         cfg = TrainConfig(model="ctr-d", **{field: value})
         assert TrainConfig.from_dict(cfg.to_dict()) == cfg
 
+    @pytest.mark.parametrize("field, value", [
+        ("epochs", 2.5),
+        ("epochs", "3"),
+        ("epochs", True),
+        ("batch_size", 8.5),
+        ("n_bases", 10.5),
+        ("n_states", 0),
+        ("seed", 1.5),
+        ("seed", -1),
+        ("seed", False),
+        ("patience", -1),
+        ("patience", 2.0),
+    ])
+    def test_integer_fields_checked(self, field, value):
+        with pytest.raises(ConfigurationError, match=field):
+            TrainConfig(model="ctr-d", **{field: value})
+
     def test_trainable_decay_must_start_below_one(self):
         with pytest.raises(ConfigurationError):
             TrainConfig(model="ctr-d", decay_init=1.0, decay_trainable=True)
@@ -284,6 +302,30 @@ def with_demographics(data, seed=1):
     return SurvivalDataset(seqs, data.labels)
 
 
+@pytest.mark.parametrize("model", ["ctr-d", "ctr-k", "ctr-n", "static"])
+def test_standardizers_see_only_the_training_records(model):
+    """A fit's standardizers come from its training split alone; a binary
+    demographic column is left as it is."""
+    data = with_demographics(toy_dataset(n=60))
+    comp = _Components(data, tiny_config(model, standardize=True))
+    train = data.subset(comp.train_idx)
+    if model == "static":
+        got, rows, all_rows = (comp.model.static_standardizer, static_features_batch(train),
+                               static_features_batch(data))
+    else:
+        got, rows, all_rows = comp.model.obs_standardizer, train.rows, data.rows
+    want = Standardizer.fit(rows)
+    np.testing.assert_array_equal(got.mean, want.mean)
+    np.testing.assert_array_equal(got.scale, want.scale)
+    assert not np.array_equal(got.mean, Standardizer.fit(all_rows).mean)
+
+    dem, want = comp.model.dem_standardizer, Standardizer.fit(train.demographics, skip_binary=True)
+    np.testing.assert_array_equal(dem.mean, want.mean)
+    np.testing.assert_array_equal(dem.scale, want.scale)
+    assert dem.mean[1] == 0.0 and dem.scale[1] == 1.0
+    assert not np.array_equal(dem.mean, Standardizer.fit(data.demographics).mean)
+
+
 class TestOnePathForScoringAndValidation:
     """Library scoring and per-epoch validation run the same packed kernel,
     so their predictions agree bit for bit.  The validation records here
@@ -301,7 +343,7 @@ class TestOnePathForScoringAndValidation:
         data = with_demographics(toy_dataset(n=500, m=12, censor_rate=0.2))
         cfg = tiny_config(model, value_range=None, **self.VARIANTS[variant])
         comp = _Components(data, cfg)
-        assert comp.val_packed.offsets[-1] > 1024
+        assert comp.val_inputs[0].offsets[-1] > 1024
         np.testing.assert_array_equal(
             comp.model.predict(data.subset(comp.val_idx)), comp.predict_validation())
 
