@@ -1,11 +1,15 @@
-"""Model checkpointing: one self-describing .npz file per trained model.
+"""Model checkpointing: one .npz file per trained model.
 
 The container is a stored (uncompressed) zip of .npy members written in
 sorted order with a frozen timestamp, so saving the same model twice gives
-byte-identical files.  A JSON metadata member carries everything that is not
-an array: the resolved config, network shapes, which optional parts exist,
-and the seed the run was derived from.  Loading rebuilds the model and its
-eval-mode forward pass bit-exactly.
+byte-identical files.  The JSON member "meta" holds the resolved config and
+the training record (history, best epoch and score, pairless batches); the
+other members are the arrays the config cannot give: network parameters and
+running statistics, the trainable decay's raw value, the grid boundaries or
+kernel bases, and the fitted standardizers.  Loading rebuilds the model from
+the config with training's own constructors, fills in the arrays, each
+checked by name and shape, and so reproduces the eval-mode forward pass
+bit-exactly.
 """
 
 from __future__ import annotations
@@ -18,8 +22,7 @@ from pathlib import Path
 import numpy as np
 
 from .data_io import atomic_write_bytes
-from .errors import ValidationError
-from .nn import Mlp
+from .errors import StayTimeError, ValidationError
 from .representation import DecayParameter
 from .states import (
     DiscreteStateFunction,
@@ -30,7 +33,11 @@ from .states import (
 )
 from .training import Standardizer, TrainConfig, TrainedModel
 
-FORMAT_VERSION = 2
+FORMAT_VERSION = 3
+RECORD = ("history", "best_epoch", "best_val_score", "pairless_batches")  # TrainedModel fields
+# member prefix: the TrainedModel field of that standardizer
+STANDARDIZERS = {"obs_std": "obs_standardizer", "dem_std": "dem_standardizer",
+                 "static_std": "static_standardizer"}
 _ZIP_EPOCH = (1980, 1, 1, 0, 0, 0)  # zip format's own epoch; fixed for determinism
 
 
@@ -46,137 +53,106 @@ def _npz_bytes(arrays: dict) -> bytes:
     return buf.getvalue()
 
 
-def _net_arrays(prefix: str, net: Mlp) -> dict:
-    return {f"{prefix}/{k}": v for k, v in net.state_arrays().items()}
-
-
-def _std_arrays(prefix: str, std: Standardizer) -> dict:
-    return {f"{prefix}/mean": std.mean, f"{prefix}/scale": std.scale}
+def _npz_arrays(path: Path) -> dict:
+    """The .npy members of a zip file by name, without their suffix."""
+    try:
+        with zipfile.ZipFile(path) as zf:
+            return {name[:-4]: np.load(io.BytesIO(zf.read(name)))
+                    for name in zf.namelist() if name.endswith(".npy")}
+    except (zipfile.BadZipFile, ValueError, EOFError) as exc:
+        raise ValidationError(f"{path.name} is not a model checkpoint ({exc})") from None
 
 
 def save_checkpoint(model: TrainedModel, path) -> None:
     """Serialize a trained model; identical models give identical bytes."""
     config = model.config
-    arrays = {}
-    meta = {
-        "format_version": FORMAT_VERSION,
-        "config": config.to_dict(),
-        "seed": config.seed,
-        "best_epoch": model.best_epoch,
-        "best_val_score": model.best_val_score,
-        "pairless_batches": model.pairless_batches,
-        "history": model.history,
-        "f": model.predictor.meta(),
-        "g": None,
-        "decay": None,
-        "state_kind": None,
-        "standardizers": [],
-    }
-    arrays.update(_net_arrays("f", model.predictor))
-
-    if model.decay is not None:
-        meta["decay"] = {"trainable": model.decay.trainable}
-        if model.decay.trainable:
-            arrays["decay/raw"] = model.decay.raw
-        else:
-            meta["decay"]["value"] = model.decay.value
-
-    state = model.state
-    if state is not None:
-        meta["state_kind"] = state.kind
-        if isinstance(state, DiscreteStateFunction):
-            meta["grid_clamp"] = state.clamp
-            for d, b in enumerate(state.grid.boundaries):
-                arrays[f"grid/b{d}"] = b
-            meta["grid_dims"] = len(state.grid.boundaries)
-        elif isinstance(state, KernelStateFunction):
-            arrays["kernel/bases"] = state.basis.bases
-            meta["kernel_gamma"] = state.basis.gamma
-        elif isinstance(state, NeuralStateFunction):
-            meta["g"] = state.net.meta()
-            arrays.update(_net_arrays("g", state.net))
-
-    for name, std in (
-        ("obs_std", model.obs_standardizer),
-        ("dem_std", model.dem_standardizer),
-        ("static_std", model.static_standardizer),
-    ):
+    meta = {"format_version": FORMAT_VERSION, "config": config.to_dict(),
+            **{key: getattr(model, key) for key in RECORD}}
+    arrays = {"meta": np.frombuffer(json.dumps(meta, sort_keys=True).encode("utf-8"), np.uint8)}
+    arrays.update({f"f/{k}": v for k, v in model.predictor.state_arrays().items()})
+    if config.model != "static" and config.decay_trainable:
+        arrays["decay/raw"] = model.decay.raw
+    if config.model == "ctr-d":
+        arrays.update({f"grid/b{d}": b for d, b in enumerate(model.state.grid.boundaries)})
+    elif config.model == "ctr-k":
+        arrays["kernel/bases"] = model.state.basis.bases
+    elif config.model == "ctr-n":
+        arrays.update({f"g/{k}": v for k, v in model.state.net.state_arrays().items()})
+    for prefix, attr in STANDARDIZERS.items():
+        std = getattr(model, attr)
         if std is not None:
-            meta["standardizers"].append(name)
-            arrays.update(_std_arrays(name, std))
-
-    arrays["meta"] = np.frombuffer(
-        json.dumps(meta, sort_keys=True).encode("utf-8"), dtype=np.uint8
-    )
+            arrays.update({f"{prefix}/mean": std.mean, f"{prefix}/scale": std.scale})
     atomic_write_bytes(path, _npz_bytes(arrays))
 
 
-def _load_net(meta: dict, arrays, prefix: str) -> Mlp:
-    net = Mlp.from_meta(meta)
-    state = net.state_arrays()
-    for key, arr in state.items():
-        stored = arrays[f"{prefix}/{key}"]
-        if stored.shape != arr.shape:
-            raise ValidationError(
-                f"checkpoint array {prefix}/{key} has shape {stored.shape}, "
-                f"net expects {arr.shape}"
-            )
-        arr[...] = stored
+def _member(arrays: dict, name: str, shape: tuple) -> np.ndarray:
+    """The array name, checked against shape (None where any length goes)."""
+    arr = arrays.get(name)
+    if arr is None:
+        raise ValidationError(f"checkpoint lacks the array {name}")
+    if arr.ndim != len(shape) or any(n not in (None, m) for n, m in zip(shape, arr.shape)):
+        raise ValidationError(f"checkpoint array {name} has shape {arr.shape}, expected {shape}")
+    return arr
+
+
+def _net(build, arrays: dict, prefix: str):
+    """The network build(n_in) makes for the input width of prefix/w0, with
+    every array filled in from the members under prefix."""
+    net = build(_member(arrays, f"{prefix}/w0", (None, None)).shape[0])
+    for key, arr in net.state_arrays().items():
+        arr[...] = _member(arrays, f"{prefix}/{key}", arr.shape)
     return net
 
 
+def _rebuild(meta: dict, arrays: dict) -> TrainedModel:
+    """The model the config describes, with the arrays filled in."""
+    try:
+        config = TrainConfig.from_dict(meta["config"])
+    except TypeError as exc:  # not a JSON object, or a field of the wrong type
+        raise ValidationError(f"checkpoint config is invalid ({exc})") from None
+    model = TrainedModel(config, predictor=_net(config.predictor_net, arrays, "f"),
+                         **{key: meta[key] for key in RECORD})
+    if config.model != "static":
+        model.decay = DecayParameter(config.decay_init, trainable=config.decay_trainable)
+        if config.decay_trainable:
+            model.decay.raw[...] = _member(arrays, "decay/raw", (1,))
+    if config.model == "ctr-d":
+        n_dims = max(1, sum(name.startswith("grid/b") for name in arrays))  # a lost b0 is named
+        segments = config.segments if isinstance(config.segments, tuple) else (
+            (config.segments,) * n_dims)
+        bounds = tuple(_member(arrays, f"grid/b{d}", (n + 1,)) for d, n in enumerate(segments))
+        model.state = DiscreteStateFunction(SegmentGrid(bounds),
+                                            clamp=config.grid_range is None)
+    elif config.model == "ctr-k":
+        bases = _member(arrays, "kernel/bases", (config.n_bases, None))
+        model.state = KernelStateFunction(KernelBasisSet(bases, gamma=config.gamma))
+    elif config.model == "ctr-n":
+        model.state = NeuralStateFunction(_net(config.state_net, arrays, "g"))
+    for prefix, attr in STANDARDIZERS.items():
+        if f"{prefix}/mean" in arrays:
+            mean = _member(arrays, f"{prefix}/mean", (None,))
+            setattr(model, attr, Standardizer(mean, _member(arrays, f"{prefix}/scale", mean.shape)))
+    return model
+
+
 def load_checkpoint(path) -> TrainedModel:
-    """Rebuild a TrainedModel from a checkpoint file."""
+    """Rebuild a TrainedModel from a checkpoint file; a file that is not one
+    of this format, or whose config or arrays do not fit, is a ValidationError."""
     path = Path(path)
-    with np.load(path) as npz:
-        arrays = {k: npz[k] for k in npz.files}
+    arrays = _npz_arrays(path)
     if "meta" not in arrays:
         raise ValidationError(f"{path.name} is not a model checkpoint (no metadata)")
-    meta = json.loads(bytes(arrays["meta"]).decode("utf-8"))
-    if meta.get("format_version") != FORMAT_VERSION:
-        raise ValidationError(
-            f"{path.name}: unsupported checkpoint version {meta.get('format_version')!r}"
-        )
-    config = TrainConfig.from_dict(meta["config"])
-    f = _load_net(meta["f"], arrays, "f")
-
-    decay = None
-    if meta["decay"] is not None:
-        if meta["decay"]["trainable"]:
-            decay = DecayParameter(0.5, trainable=True)
-            decay.raw[...] = arrays["decay/raw"]
-        else:
-            decay = DecayParameter(meta["decay"]["value"], trainable=False)
-
-    state = None
-    kind = meta["state_kind"]
-    if kind == "discrete":
-        boundaries = tuple(arrays[f"grid/b{d}"] for d in range(meta["grid_dims"]))
-        state = DiscreteStateFunction(SegmentGrid(boundaries), clamp=meta["grid_clamp"])
-    elif kind == "kernel":
-        state = KernelStateFunction(
-            KernelBasisSet(arrays["kernel/bases"], gamma=meta["kernel_gamma"])
-        )
-    elif kind == "neural":
-        state = NeuralStateFunction(_load_net(meta["g"], arrays, "g"))
-
-    stds = {}
-    for name in ("obs_std", "dem_std", "static_std"):
-        if name in meta["standardizers"]:
-            stds[name] = Standardizer(arrays[f"{name}/mean"], arrays[f"{name}/scale"])
-        else:
-            stds[name] = None
-
-    return TrainedModel(
-        config=config,
-        predictor=f,
-        state=state,
-        decay=decay,
-        obs_standardizer=stds["obs_std"],
-        dem_standardizer=stds["dem_std"],
-        static_standardizer=stds["static_std"],
-        history=meta["history"],
-        best_epoch=meta["best_epoch"],
-        best_val_score=meta["best_val_score"],
-        pairless_batches=meta["pairless_batches"],
-    )
+    try:
+        meta = json.loads(bytes(arrays["meta"]).decode("utf-8"))
+    except ValueError as exc:
+        raise ValidationError(f"{path.name}: checkpoint metadata is not JSON ({exc})") from None
+    version = meta.get("format_version") if isinstance(meta, dict) else None
+    if version != FORMAT_VERSION:
+        raise ValidationError(f"{path.name}: unsupported checkpoint version {version!r}")
+    missing = [key for key in ("config", *RECORD) if key not in meta]
+    if missing:
+        raise ValidationError(f"{path.name}: checkpoint metadata lacks {', '.join(missing)}")
+    try:
+        return _rebuild(meta, arrays)
+    except StayTimeError as exc:
+        raise ValidationError(f"{path.name}: {exc}") from None

@@ -19,7 +19,7 @@ from .evaluation import c_index
 from .representation import compute_ctr_batch
 from .sequences import SurvivalDataset, as_dataset, as_float_array
 from .states import DiscreteStateFunction, KernelStateFunction
-from .training import TrainConfig, train_model
+from .training import TrainConfig, require_count, train_model
 
 
 class ParamsMixin:
@@ -88,6 +88,7 @@ class CtrFeaturizer(ParamsMixin):
             self.state_ = DiscreteStateFunction.fit(pooled, self.segments, self.value_range,
                                                     self.clamp)
         elif self.kind == "kernel":
+            require_count("random_state", self.random_state, 0)
             self.state_ = KernelStateFunction.fit(pooled, self.n_bases, self.gamma,
                                                   np.random.default_rng(self.random_state))
         else:

@@ -19,7 +19,7 @@ import numpy as np
 
 from .errors import ConfigurationError, UndefinedResultError, ValidationError, WorkerError
 from .sequences import SurvivalDataset, as_float_array
-from .training import TrainConfig, shuffled_strata, train_model
+from .training import TrainConfig, require_count, shuffled_strata, train_model
 
 # Inputs up to this many records are counted directly on (uncensored x all)
 # comparison masks, which is faster there than the sort-based count.  The
@@ -205,6 +205,7 @@ def cross_validate(dataset: SurvivalDataset, configs: list, k: int = 5, seed: in
     fold keeps its earliest best candidate, so the FoldReports are the same
     for every jobs value (except wall_clock, each fold's summed job seconds).
     """
+    require_count("fold seed", seed, 0)
     times = dataset.event_times()
     censored = dataset.censor_mask()
     rng = np.random.default_rng(np.random.SeedSequence([seed, k]))

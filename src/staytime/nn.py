@@ -271,15 +271,6 @@ class Mlp:
             dh = np.matmul(dh, self.weights[i].T, out=work.buf(("dh", i), n, self.layer_sizes[i]))
         return work.grad, dh
 
-    _META = ("out_activation", "batchnorm", "dropout")
-
-    def meta(self) -> dict:
-        return {"layer_sizes": list(self.layer_sizes), **{k: getattr(self, k) for k in self._META}}
-
-    @classmethod
-    def from_meta(cls, meta: dict) -> "Mlp":
-        return cls(meta["layer_sizes"], **{k: meta[k] for k in cls._META})
-
 
 @dataclass
 class AdamState:

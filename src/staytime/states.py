@@ -181,8 +181,6 @@ def sample_bases(rows: np.ndarray, k: int, rng) -> np.ndarray:
 class StateFunction:
     """Common interface: observation rows in, rows of unit-sum weights out."""
 
-    kind = "base"
-
     @property
     def n_states(self) -> int:
         raise NotImplementedError
@@ -193,8 +191,6 @@ class StateFunction:
 
 class DiscreteStateFunction(StateFunction):
     """One-hot cell membership on a segment grid."""
-
-    kind = "discrete"
 
     def __init__(self, grid: SegmentGrid, clamp: bool = False):
         self.grid = grid
@@ -221,8 +217,6 @@ class DiscreteStateFunction(StateFunction):
 class KernelStateFunction(StateFunction):
     """Normalized radial-basis weights on fixed basis points."""
 
-    kind = "kernel"
-
     def __init__(self, basis: KernelBasisSet):
         self.basis = basis
 
@@ -241,8 +235,6 @@ class KernelStateFunction(StateFunction):
 
 class NeuralStateFunction(StateFunction):
     """Softmax output of a trained network, evaluated deterministically."""
-
-    kind = "neural"
 
     def __init__(self, net):
         if net.out_activation != "softmax":

@@ -19,6 +19,7 @@ from .errors import ConfigurationError
 from .representation import compute_ctr_batch
 from .sequences import SurvivalDataset
 from .states import DiscreteStateFunction, SegmentGrid, build_grid
+from .training import require_count
 
 WEIGHT_PROFILES = ("coordinate", "index")
 BLOCK_RECORDS = 256
@@ -48,12 +49,15 @@ class SynthConfig:
     weight_profile: str = "index"
 
     def __post_init__(self):
-        if self.n_records < 1 or self.n_obs < 1 or self.n_dims < 1:
-            raise ConfigurationError("record, observation, and dimension counts must be positive")
-        if self.noise_variance < 0:
-            raise ConfigurationError("noise_variance must be nonnegative")
-        if self.weight_width <= 0:
-            raise ConfigurationError("weight_width must be positive")
+        for name, low in (("seed", 0), ("n_records", 1), ("n_obs", 1), ("n_dims", 1),
+                          ("n_states", 1)):
+            require_count(name, getattr(self, name), low)
+        if not 0 <= self.noise_variance < np.inf:
+            raise ConfigurationError(
+                f"noise_variance must be a nonnegative finite number, got {self.noise_variance!r}")
+        if not 0 < self.weight_width < np.inf:
+            raise ConfigurationError(
+                f"weight_width must be a positive finite number, got {self.weight_width!r}")
         if self.weight_profile not in WEIGHT_PROFILES:
             raise ConfigurationError(f"unknown weight_profile {self.weight_profile!r}")
         integer_root(self.n_states, self.n_dims)

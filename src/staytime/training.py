@@ -151,6 +151,12 @@ def _is_count(value, low: int = 1) -> bool:
     return isinstance(value, numbers.Integral) and not isinstance(value, bool) and value >= low
 
 
+def require_count(name: str, value, low: int = 1) -> None:
+    """Refuse value, a seed or a count, unless it is an integer of at least low."""
+    if not _is_count(value, low):
+        raise ConfigurationError(f"{name} must be an integer of at least {low}, got {value!r}")
+
+
 def _is_pair(value) -> bool:
     """Whether value is a (min, max) pair of numbers, as a tuple or a JSON list."""
     return isinstance(value, (tuple, list)) and len(value) == 2 and all(map(_is_number, value))
@@ -193,9 +199,7 @@ class TrainConfig:
             raise ConfigurationError(f"unknown loss kind {self.loss!r}")
         for name, low in (("epochs", 1), ("batch_size", 1), ("n_bases", 1), ("n_states", 1),
                           ("seed", 0), ("patience", 0)):
-            value = getattr(self, name)
-            if not _is_count(value, low):
-                raise ConfigurationError(f"{name} must be an integer of at least {low}, got {value!r}")
+            require_count(name, getattr(self, name), low)
         if self.loss == "combined" and self.batch_size < 2:
             raise ConfigurationError("the combined loss needs batches of at least 2")
         if not 0.0 < self.val_fraction < 1.0:
@@ -204,10 +208,10 @@ class TrainConfig:
             raise ConfigurationError("decay_init must lie in (0, 1]")
         if self.decay_trainable and self.decay_init >= 1.0:
             raise ConfigurationError("a trainable decay must start strictly below 1")
-        if self.gamma <= 0:
-            raise ConfigurationError("gamma must be positive")
-        if self.learning_rate <= 0:
-            raise ConfigurationError("learning_rate must be positive")
+        for name in ("gamma", "learning_rate", "adam_eps"):
+            value = getattr(self, name)
+            if not 0 < value < np.inf:
+                raise ConfigurationError(f"{name} must be a positive finite number, got {value!r}")
         for name in ("gamma_grid", "f_hidden", "g_hidden", "segments", "value_range"):
             if isinstance(getattr(self, name), list):
                 object.__setattr__(self, name, tuple(getattr(self, name)))
@@ -231,6 +235,23 @@ class TrainConfig:
         if self.standardize is None:
             return self.loss == "combined"
         return bool(self.standardize)
+
+    @property
+    def grid_range(self):
+        """The range of a CTR-D grid, or None for a grid fitted to the prepped
+        training rows (and then clamped): a configured range describes raw
+        observations, so it does not hold once they are standardized."""
+        return None if self.wants_standardize else self.value_range
+
+    def predictor_net(self, n_in: int, rng=None) -> Mlp:
+        """The predictor f for inputs of width n_in."""
+        return Mlp([n_in, *self.f_hidden, 1], out_activation="identity",
+                   batchnorm=self.batchnorm, dropout=self.dropout, rng=rng)
+
+    def state_net(self, n_in: int, rng=None) -> Mlp:
+        """CTR-N's state network g for observations of width n_in."""
+        return Mlp([n_in, *self.g_hidden, self.n_states], out_activation="softmax",
+                   batchnorm=self.batchnorm, dropout=self.dropout, rng=rng)
 
     def to_dict(self) -> dict:
         out = dataclasses.asdict(self)
@@ -372,35 +393,21 @@ class _Components:
             model.decay = DecayParameter(config.decay_init, trainable=config.decay_trainable)
             train_rows = base.take(train_idx).rows
             if config.model == "ctr-d":
-                # a configured range describes raw observations; once they are
-                # standardized the grid has to come from the prepped data instead
-                model.state = DiscreteStateFunction.fit(
-                    train_rows, config.segments,
-                    None if config.wants_standardize else config.value_range)
+                model.state = DiscreteStateFunction.fit(train_rows, config.segments,
+                                                        config.grid_range)
             elif config.model == "ctr-k":
                 model.state = KernelStateFunction.fit(
                     train_rows, config.n_bases, config.gamma, rng_bases)
             else:
-                self.gnet = Mlp(
-                    [dataset.n_features, *config.g_hidden, config.n_states],
-                    out_activation="softmax",
-                    batchnorm=config.batchnorm,
-                    dropout=config.dropout,
-                    rng=rng_ginit,
-                )
+                self.gnet = config.state_net(dataset.n_features, rng_ginit)
                 model.state = NeuralStateFunction(self.gnet)
             if config.model != "ctr-n":
                 # a fixed state function: weigh every row once, up front
                 base = base.with_weights(model.state)
             n_in = model.state.n_states
 
-        model.predictor = Mlp(
-            [n_in + (0 if dem is None else dem.shape[1]), *config.f_hidden, 1],
-            out_activation="identity",
-            batchnorm=config.batchnorm,
-            dropout=config.dropout,
-            rng=rng_finit,
-        )
+        model.predictor = config.predictor_net(
+            n_in + (0 if dem is None else dem.shape[1]), rng_finit)
         self.f, self.decay = model.predictor, model.decay
         self.base, self.dem = base, dem
         self.val_inputs = self.inputs_at(val_idx)

@@ -275,6 +275,41 @@ class TestTrain:
         assert last_json(stderr)["error"] == "ValidationError"
 
 
+class TestNumbersChecked:
+    """A negative seed or a non-finite rate is one ConfigurationError line."""
+
+    @pytest.mark.parametrize("argv, name", [
+        (("generate", "--seed", "-1"), "seed"),
+        (("evaluate", "--data", "{data}", *FAST_TRAIN, "--cv-seed", "-1"), "fold seed"),
+        (("bench", "--seed", "0", "--n-records", "30", "--cv-seed", "-1"), "fold seed"),
+        (("gradcheck", "--seed", "-1"), "seed"),
+        (("featurize", "--data", "{data}", "--kind", "kernel", "--seed", "-1"), "random_state"),
+    ], ids=["generate", "evaluate", "bench", "gradcheck", "featurize"])
+    def test_negative_seed_rejected(self, tmp_path, capsys, data_dir, argv, name):
+        argv = [a.format(data=data_dir) for a in argv]
+        if argv[0] != "gradcheck":
+            argv += ["--out", str(tmp_path / "o")]
+        code, _, stderr = run(capsys, *argv)
+        assert code == 1
+        assert one_error_line(stderr) == {
+            "error": "ConfigurationError",
+            "message": f"{name} must be an integer of at least 0, got -1"}
+
+    @pytest.mark.parametrize("argv, name", [
+        (("train", "--data", "{data}", *FAST_TRAIN, "--learning-rate", "nan"), "learning_rate"),
+        (("train", "--data", "{data}", *FAST_TRAIN, "--learning-rate", "inf"), "learning_rate"),
+        (("generate", "--seed", "0", "--noise-variance", "nan"), "noise_variance"),
+    ], ids=["lr-nan", "lr-inf", "noise-nan"])
+    def test_non_finite_number_rejected(self, tmp_path, capsys, data_dir, argv, name):
+        argv = [a.format(data=data_dir) for a in argv]
+        code, stdout, stderr = run(capsys, *argv, "--out", str(tmp_path / "o"))
+        assert (code, stdout) == (1, "")
+        err = one_error_line(stderr)
+        assert err["error"] == "ConfigurationError"
+        assert err["message"].startswith(f"{name} must be a ")
+        assert not (tmp_path / "o").exists()
+
+
 class TestEvaluate:
     def test_scores_file(self, tmp_path, capsys, data_dir):
         out = tmp_path / "eval"

@@ -352,7 +352,7 @@ class TestWorkspace:
             X = rng.normal(size=(n, 3))
             dout = rng.normal(size=(n, 5))
             seed = int(rng.integers(1 << 30))
-            fresh = Mlp.from_meta(net.meta())
+            fresh = Mlp([3, 16, 12, 5], out_activation=out_activation, dropout=0.5)
             fresh.flat[...] = net.flat
             out, cache = net.forward(X, mode="train", rng=np.random.default_rng(seed),
                                      want_cache=True, work=work)

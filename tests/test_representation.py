@@ -309,7 +309,7 @@ class TestPackedKernel:
             for i, seq in enumerate(seqs):
                 np.testing.assert_array_equal(
                     batch[i], compute_ctr(seq, state, decay, normalize),
-                    err_msg=f"{state.kind} record {i}")
+                    err_msg=f"{type(state).__name__} record {i}")
 
     def test_matches_loop_oracle_across_chunks(self):
         rng = np.random.default_rng(22)

@@ -38,6 +38,16 @@ class TestSynthConfig:
         with pytest.raises(ConfigurationError):
             SynthConfig(seed=0, n_states=24)
 
+    @pytest.mark.parametrize("field, value", [
+        ("seed", -1), ("seed", 1.5), ("seed", True), ("n_records", 0), ("n_obs", 2.0),
+        ("n_dims", "2"), ("n_states", 0),
+        ("noise_variance", float("nan")), ("noise_variance", float("inf")),
+        ("noise_variance", -0.1), ("weight_width", float("nan")), ("weight_width", 0.0),
+    ])
+    def test_fields_checked(self, field, value):
+        with pytest.raises(ConfigurationError, match=field):
+            SynthConfig(**{"seed": 0, field: value})
+
     def test_segments_per_dim(self):
         assert SynthConfig(seed=0, n_states=25).segments_per_dim == 5
         assert SynthConfig(seed=0, n_states=100).segments_per_dim == 10

@@ -154,6 +154,12 @@ class TestTrainConfig:
         with pytest.raises(ConfigurationError, match=field):
             TrainConfig(model="ctr-d", **{field: value})
 
+    @pytest.mark.parametrize("field", ["learning_rate", "gamma", "adam_eps"])
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), 0.0, -1.0])
+    def test_rates_must_be_positive_and_finite(self, field, value):
+        with pytest.raises(ConfigurationError, match=f"{field} must be a positive finite"):
+            TrainConfig(model="ctr-d", **{field: value})
+
     @pytest.mark.parametrize("field, value", [
         ("f_hidden", ()),
         ("segments", [3, 2]),
