@@ -214,8 +214,6 @@ def _table(prefix: str, ids: list, values: np.ndarray) -> str:
 
 def cmd_featurize(args) -> int:
     data = read_dataset(args.data, forward_fill=args.forward_fill)
-    out = _out_dir(args)
-    out.mkdir(parents=True, exist_ok=True)
     # only the flags given; CtrFeaturizer holds the defaults and the checks
     given = {name: getattr(args, name) for name in FEATURIZE_FIELDS}
     given["random_state"] = args.seed
@@ -224,15 +222,17 @@ def cmd_featurize(args) -> int:
         **{name: value for name, value in given.items() if value is not None},
     )
     ids = data.record_ids.tolist()
-    atomic_write_text(out / "features.csv", _table("z", ids, featurizer.fit_transform(data)))
-    written = ["features.csv"]
+    tables = {"features.csv": _table("z", ids, featurizer.fit_transform(data))}
     if args.static:
-        atomic_write_text(out / "static.csv", _table("s", ids, static_features_batch(data)))
-        written.append("static.csv")
+        tables["static.csv"] = _table("s", ids, static_features_batch(data))
+    out = _out_dir(args)
+    out.mkdir(parents=True, exist_ok=True)
+    for name, text in tables.items():
+        atomic_write_text(out / name, text)
     _emit({
         "command": "featurize",
         "out": str(out),
-        "files": written,
+        "files": list(tables),
         "n_states": featurizer.n_states_,
         "n_records": len(data),
     })
@@ -242,9 +242,9 @@ def cmd_featurize(args) -> int:
 def cmd_train(args) -> int:
     cfg = _train_config(args)
     data = read_dataset(args.data, forward_fill=args.forward_fill)
+    model = train_model(data, cfg)
     out = _out_dir(args)
     out.mkdir(parents=True, exist_ok=True)
-    model = train_model(data, cfg)
     save_checkpoint(model, out / "checkpoint.npz")
     write_history(model.history, out / "history.jsonl")
     atomic_write_text(out / "config.json", json_text(cfg.to_dict()))
@@ -262,9 +262,9 @@ def cmd_train(args) -> int:
 def cmd_evaluate(args) -> int:
     cfg = _train_config(args)
     data = read_dataset(args.data, forward_fill=args.forward_fill)
+    report = kfold_cv(data, cfg, k=args.k, seed=args.cv_seed, jobs=_jobs(args))
     out = _out_dir(args)
     out.mkdir(parents=True, exist_ok=True)
-    report = kfold_cv(data, cfg, k=args.k, seed=args.cv_seed, jobs=_jobs(args))
     atomic_write_text(out / "scores.json", json_text(report.to_dict()))
     _emit({
         "command": "evaluate",
@@ -313,12 +313,7 @@ def cmd_bench(args) -> int:
         k: getattr(args, k) for k in BENCH_TRAIN_FIELDS if getattr(args, k) is not None
     }
     train_overrides["seed"] = args.train_seed if args.train_seed is not None else cfg.seed
-    out = _out_dir(args)
-    data_dir = out / "dataset"
     synth = generate(cfg)
-    write_dataset(synth.dataset, data_dir, units_note="synthetic, unitless")
-    write_truth(synth, data_dir)
-
     slate = _bench_rows(cfg, train_overrides)
     fold_reports = cross_validate(synth.dataset, [c for _, c in slate], k=args.k,
                                   seed=args.cv_seed, jobs=_jobs(args))
@@ -342,7 +337,9 @@ def cmd_bench(args) -> int:
         "rows": rows,
         "period": period.to_dict(),
     }
-    out.mkdir(parents=True, exist_ok=True)
+    out = _out_dir(args)
+    write_dataset(synth.dataset, out / "dataset", units_note="synthetic, unitless")
+    write_truth(synth, out / "dataset")
     atomic_write_text(out / BENCH_REPORT_FILE, json_text(bench_report))
     _write_report(out, bench_report)
     atomic_write_text(out / "timings.json", json_text({

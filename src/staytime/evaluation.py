@@ -267,11 +267,11 @@ def first_best(scores) -> int:
 
 @dataclass(frozen=True)
 class FitJob:
-    """One train_model call: fit `config` on every record outside `test` (on
-    every record when test is None) and predict the records in `test`."""
+    """One train_model call: fit `config` on every record outside `test` and
+    predict the records in `test`."""
 
     config: TrainConfig
-    test: np.ndarray | None = None
+    test: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -280,21 +280,17 @@ class FitResult:
     views into one flat vector that pickling would not keep."""
 
     score: float                     # the fit's best validation C-index
-    predictions: np.ndarray | None   # on the job's test records
+    predictions: np.ndarray          # on the job's test records
     seconds: float                   # the job's wall time, where it ran
 
 
 def fit_job(dataset: SurvivalDataset, job: FitJob) -> FitResult:
     """Run one job on dataset."""
     t0 = _time.perf_counter()
-    train_set, preds = dataset, None
-    if job.test is not None:
-        keep = np.ones(len(dataset), dtype=bool)
-        keep[job.test] = False
-        train_set = dataset.subset(np.flatnonzero(keep))
-    model = train_model(train_set, job.config)
-    if job.test is not None:
-        preds = model.predict(dataset.subset(job.test))
+    keep = np.ones(len(dataset), dtype=bool)
+    keep[job.test] = False
+    model = train_model(dataset.subset(np.flatnonzero(keep)), job.config)
+    preds = model.predict(dataset.subset(job.test))
     return FitResult(model.best_val_score, preds, _time.perf_counter() - t0)
 
 
@@ -469,8 +465,6 @@ def period_stratified_improvement(report_a: FoldReport, report_b: FoldReport,
             keep = periods[fold_idx] >= tau
             sel = fold_idx[keep]
             count += int(keep.sum())
-            if keep.sum() < 2:
-                continue
             try:
                 ca = c_index(np.asarray(pa)[keep], times[sel], censored[sel])
                 cb = c_index(np.asarray(pb)[keep], times[sel], censored[sel])

@@ -4,10 +4,11 @@ Everything is float64 numpy.  A hidden layer is h @ W -> batch norm -> + b
 -> ReLU -> inverted dropout, its one bias b serving as batch norm's shift; the
 output layer is h @ W + b with an optional softmax.
 Batch norm keeps running statistics for eval mode, which folds it with the
-bias into one affine; train mode uses the batch statistics and backpropagates
-through them.  The Adam step and the central finite-difference gradient
-checker live here too, so a network and its optimizer can be tested as one
-unit.
+bias into one affine and runs in fixed blocks of rows, so a row's output does
+not depend on the call; train mode uses the batch statistics and
+backpropagates through them.  The Adam step and the central finite-difference
+gradient checker live here too, so a network and its optimizer can be tested
+as one unit.
 """
 
 from __future__ import annotations
@@ -20,6 +21,10 @@ from .errors import ConfigurationError, ContractError
 
 BN_EPS = 1e-5  # added to the batch-norm variance
 BN_MOMENTUM = 0.1  # weight of each train batch in the running statistics
+# BLAS rounds a product by its shape, so eval mode runs every layer on a stack
+# of zero-padded EVAL_ROWS-row blocks: one same-shape product per block keeps
+# each row's output the same bits however many rows share the call.
+EVAL_ROWS = 64
 
 
 def relu(x):
@@ -196,8 +201,9 @@ class Mlp:
         Train mode writes every per-row array into work, a Workspace of this
         network (a fresh one when None), so the output and the cache are
         views valid until its next train-mode call; want_cache only adds the
-        cache to the return value.  Eval mode allocates, folds batch norm
-        into one affine per layer and keeps no cache.
+        cache to the return value.  Eval mode allocates, runs on zero-padded
+        blocks of EVAL_ROWS rows, folds batch norm into one affine per layer
+        and keeps no cache.
         """
         if mode not in ("train", "eval"):
             raise ConfigurationError(f"unknown mode {mode!r}")
@@ -218,6 +224,9 @@ class Mlp:
         n = X.shape[0]
 
         layers, h = [], X
+        if not train:
+            h = np.zeros((-(-n // EVAL_ROWS), EVAL_ROWS, X.shape[1]))
+            h.reshape(-1, X.shape[1])[:n] = X
         for i in range(self.n_hidden):
             width = self.layer_sizes[i + 1]
             a = np.matmul(h, self.weights[i], out=work.buf(("a", i), n, width) if train else None)
@@ -239,7 +248,9 @@ class Mlp:
         out += self.biases[-1]
         final = {"inp": h}
         if self.out_activation == "softmax":  # in place over the last layer's output
-            out = final["probs"] = softmax(out, axis=1, out=out)
+            out = final["probs"] = softmax(out, out=out)
+        if not train:
+            return out.reshape(-1, self.layer_sizes[-1])[:n]
         if want_cache:
             return out, {"layers": layers, "final": final, "work": work}
         return out

@@ -9,9 +9,7 @@ of period-stratified improvement.
 
 from __future__ import annotations
 
-import csv
-import io
-
+from .data_io import csv_text
 from .errors import ValidationError
 
 SVG_W, SVG_H = 640, 400
@@ -19,37 +17,30 @@ LEFT, RIGHT, TOP = 70, 20, 40  # plot margins; each chart sets its own bottom on
 PLOT_W = SVG_W - LEFT - RIGHT
 
 
+def _fixed(values) -> list:
+    """Six-decimal cells; a missing score (None) is an empty cell."""
+    return ["" if v is None else f"{v:.6f}" for v in values]
+
+
 def comparison_csv(rows: list) -> str:
     """Tabulate per-model scores; one line per model, folds spelled out."""
     if not rows:
         raise ValidationError("no rows to tabulate")
     k = len(rows[0]["scores"])
-    header = ["label", "model", "mean_c_index", "stderr"] + [
-        f"fold_{i + 1}" for i in range(k)
-    ]
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(header)
-    for row in rows:
-        if len(row["scores"]) != k:
-            raise ValidationError("rows disagree on fold count")
-        writer.writerow(
-            [row["label"], row["model"], f"{row['mean']:.6f}", f"{row['stderr']:.6f}"]
-            + ["" if s is None else f"{s:.6f}" for s in row["scores"]]
-        )
-    return buf.getvalue()
+    if any(len(row["scores"]) != k for row in rows):
+        raise ValidationError("rows disagree on fold count")
+    header = ["label", "model", "mean_c_index", "stderr", *(f"fold_{i + 1}" for i in range(k))]
+    label, model, mean, stderr = ([row[key] for row in rows]
+                                  for key in ("label", "model", "mean", "stderr"))
+    folds = zip(*(row["scores"] for row in rows))
+    return csv_text(header, label, model, _fixed(mean), _fixed(stderr), *map(_fixed, folds))
 
 
 def period_csv(report: dict) -> str:
     """Tabulate a period-stratified improvement report (dict form)."""
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(["threshold", "n_records", "mean_diff", "stderr"])
-    for tau, n, mean, se in zip(
-        report["thresholds"], report["n_records"], report["means"], report["stderrs"]
-    ):
-        writer.writerow([f"{tau:.6f}", n, f"{mean:.6f}", f"{se:.6f}"])
-    return buf.getvalue()
+    return csv_text(["threshold", "n_records", "mean_diff", "stderr"],
+                    _fixed(report["thresholds"]), report["n_records"],
+                    _fixed(report["means"]), _fixed(report["stderrs"]))
 
 
 def _axis(lo: float, hi: float):

@@ -20,7 +20,9 @@ import numpy as np
 
 from .errors import ConfigurationError
 from .sequences import ObservationSequence, as_dataset, gather_rows
-from .states import CHUNK_ROWS, StateFunction
+from .states import StateFunction
+
+CHUNK_ROWS = 1024  # rows per state-function call in the stay-time kernel, to bound memory
 
 
 def softplus(x):

@@ -347,26 +347,13 @@ class SurvivalDataset:
         )
 
 
-def as_dataset(X, y=None) -> SurvivalDataset:
-    """Coerce estimator-style (X, y) input into a SurvivalDataset.
-
-    X may be a SurvivalDataset (y must then be None) or a sequence of
-    ObservationSequence.  y may be a list of SurvivalLabel, an array of event
-    times (all uncensored), or a (times, censored) pair of arrays.
-    """
+def as_dataset(X) -> SurvivalDataset:
+    """X itself when it is a SurvivalDataset, else its ObservationSequence
+    objects as an unlabeled one."""
     if isinstance(X, SurvivalDataset):
-        if y is not None:
-            raise ValidationError("pass labels inside the SurvivalDataset, not separately")
         return X
     sequences = list(X)
     for i, seq in enumerate(sequences):
         if not isinstance(seq, ObservationSequence):
             raise ValidationError(f"X[{i}] is not an ObservationSequence")
-    if y is None:
-        return SurvivalDataset(sequences)
-    censored = None
-    if isinstance(y, tuple) and len(y) == 2:
-        y, censored = y
-    elif len(y) and isinstance(y[0], SurvivalLabel):
-        return SurvivalDataset(sequences, y)
-    return SurvivalDataset(sequences)._with_labels(as_float_array(y, "event times", 1), censored)
+    return SurvivalDataset(sequences)

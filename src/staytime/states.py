@@ -17,8 +17,6 @@ import numpy as np
 from .errors import ConfigurationError, OutOfRangeError, ValidationError
 from .sequences import as_float_array
 
-CHUNK_ROWS = 1024  # rows per state-function call in the stay-time kernel
-
 
 @dataclass(frozen=True)
 class SegmentGrid:
@@ -234,7 +232,8 @@ class KernelStateFunction(StateFunction):
 
 
 class NeuralStateFunction(StateFunction):
-    """Softmax output of a trained network, evaluated deterministically."""
+    """Softmax output of a trained network's eval-mode forward, whose rows do
+    not depend on how many share the call."""
 
     def __init__(self, net):
         if net.out_activation != "softmax":
@@ -246,12 +245,5 @@ class NeuralStateFunction(StateFunction):
         return self.net.layer_sizes[-1]
 
     def weights_matrix(self, X: np.ndarray) -> np.ndarray:
-        """Network output, evaluated in zero-padded blocks of CHUNK_ROWS rows:
-        BLAS rounding depends on matrix shape, so fixed blocks keep each row's
-        weights independent of how many rows share the call."""
-        X = as_float_array(X, "observations", 2)
-        n = X.shape[0]
-        padded = np.zeros((-(-n // CHUNK_ROWS) * CHUNK_ROWS, X.shape[1]))
-        padded[:n] = X
-        return self.net.forward(padded)[:n]
+        return self.net.forward(as_float_array(X, "observations", 2))
 

@@ -208,6 +208,10 @@ class TrainConfig:
             raise ConfigurationError("decay_init must lie in (0, 1]")
         if self.decay_trainable and self.decay_init >= 1.0:
             raise ConfigurationError("a trainable decay must start strictly below 1")
+        for name in ("dropout", "beta1", "beta2"):
+            value = getattr(self, name)
+            if not 0 <= value < 1:
+                raise ConfigurationError(f"{name} must lie in [0, 1), got {value!r}")
         for name in ("gamma", "learning_rate", "adam_eps"):
             value = getattr(self, name)
             if not 0 < value < np.inf:

@@ -593,6 +593,32 @@ class TestFileSystemErrors:
         assert snapshot(tmp_path) == before
 
 
+class TestRefusedCommandsWriteNothing:
+    """A command computes everything before it creates --out, so one that a
+    check refuses prints one JSON line and leaves nothing behind."""
+
+    BENCH = ("bench", "--seed", "0", "--n-records", "30", "--out", "{new}")
+
+    @pytest.mark.parametrize("argv, error", [
+        ((*BENCH, "--k", "1"), "ValidationError"),
+        ((*BENCH, "--cv-seed", "-1"), "ConfigurationError"),
+        (("evaluate", "--data", "{data}", "--k", "1", "--out", "{new}", *FAST_TRAIN),
+         "ValidationError"),
+        (("train", "--data", "{data}", "--out", "{new}", *FAST_TRAIN,
+          "--learning-rate", "1e100"), "DivergenceError"),
+        (("featurize", "--data", "{data}", "--segments", "0", "--out", "{new}"),
+         "ConfigurationError"),
+    ], ids=["bench-one-fold", "bench-negative-cv-seed", "evaluate-one-fold",
+            "train-diverges", "featurize-no-segments"])
+    def test_one_json_line_and_nothing_written(self, tmp_path, capsys, data_dir, argv, error):
+        before = snapshot(tmp_path)
+        paths = {"new": tmp_path / "new", "data": data_dir}
+        code, stdout, stderr = run(capsys, *(a.format(**paths) for a in argv))
+        assert (code, stdout) == (1, "")
+        assert one_error_line(stderr)["error"] == error
+        assert snapshot(tmp_path) == before
+
+
 def _array_memory_error():
     # numpy's subclass, raised when an array cannot be allocated; building it
     # allocates nothing

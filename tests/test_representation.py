@@ -21,7 +21,7 @@ from staytime import (
     stay_times,
 )
 from staytime.representation import PackedRecords, decay_exponents, sigmoid, softplus
-from staytime.states import CHUNK_ROWS
+from staytime.representation import CHUNK_ROWS
 
 
 def seq_from_times(times, n_dims=1, rng=None):

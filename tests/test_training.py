@@ -1,7 +1,11 @@
 """Feature extraction, standardization, config plumbing, and the training loop."""
 
 import dataclasses
+import os
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -159,6 +163,13 @@ class TestTrainConfig:
     def test_rates_must_be_positive_and_finite(self, field, value):
         with pytest.raises(ConfigurationError, match=f"{field} must be a positive finite"):
             TrainConfig(model="ctr-d", **{field: value})
+
+    @pytest.mark.parametrize("field", ["dropout", "beta1", "beta2"])
+    @pytest.mark.parametrize("value", [float("nan"), 1.0, 1.5, 2.0, -0.1])
+    def test_fractions_must_lie_in_unit_interval(self, field, value):
+        with pytest.raises(ConfigurationError, match=rf"{field} must lie in \[0, 1\)"):
+            TrainConfig(model="ctr-d", seed=0, **{field: value})
+        TrainConfig(model="ctr-d", seed=0, **{field: 0.0})
 
     @pytest.mark.parametrize("field, value", [
         ("f_hidden", ()),
@@ -361,6 +372,33 @@ class TestOnePathForScoringAndValidation:
         val = data.subset(_Components(data, cfg).val_idx)
         score = c_index(trained.predict(val), val.event_times(), val.censor_mask())
         assert score == trained.best_val_score
+
+
+def alone_vs_batch_mismatches(model: str) -> int:
+    """How many of records 0-99 get a prediction alone that differs in any
+    bit from their rows of the 400-record call, after a 3-epoch fit."""
+    data = generate(SynthConfig(seed=0, n_records=400)).dataset
+    trained = train_model(data, TrainConfig(model=model, seed=0, epochs=3))
+    batch = trained.predict(data)[:100]
+    alone = np.concatenate([trained.predict(data.subset([i])) for i in range(100)])
+    return int(np.count_nonzero(alone != batch))
+
+
+class TestPredictionsIndependentOfTheCall:
+    """f and g score in fixed blocks of rows, so a record's prediction is the
+    same bits alone as inside a larger call, under one BLAS thread or two."""
+
+    @pytest.mark.parametrize("model", ["ctr-d", "ctr-k", "ctr-n", "static"])
+    def test_alone_equals_inside_a_batch(self, model):
+        assert alone_vs_batch_mismatches(model) == 0
+
+    def test_alone_equals_inside_a_batch_under_two_blas_threads(self):
+        path = [str(Path(training.__file__).parents[1]), str(Path(__file__).parent)]
+        env = dict(os.environ, OPENBLAS_NUM_THREADS="2", PYTHONPATH=os.pathsep.join(path))
+        code = "from test_training import alone_vs_batch_mismatches as m; print(m('ctr-n'))"
+        done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                              text=True, timeout=300)
+        assert (done.returncode, done.stdout) == (0, "0\n"), done.stderr
 
 
 class TestStaticWithDemographics:
