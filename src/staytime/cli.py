@@ -42,6 +42,7 @@ from .training import (
     LOSS_KINDS,
     MODEL_KINDS,
     TrainConfig,
+    check_field_types,
     gradient_check_model,
     static_features_batch,
     train_model,
@@ -73,19 +74,10 @@ def _out_dir(args) -> Path:
     return Path(os.environ.get(OUT_DIR_ENV, "."))
 
 
-def _fits(value, kind) -> bool:
-    """Whether a JSON value has one of a config field's types: JSON arrays
-    stand for tuples, and a bool is not a number."""
-    if kind is tuple:
-        return isinstance(value, list)
-    if isinstance(value, bool):
-        return kind is bool
-    return isinstance(value, (int, float) if kind is float else kind)
-
-
 def _merged_options(args, config_cls) -> dict:
-    """Flag values override config-file values; unset keys are omitted."""
-    fields = {f.name: f.type for f in dataclasses.fields(config_cls)}
+    """Flag values override config-file values, a null among them; keys set
+    by neither are omitted."""
+    fields = {f.name for f in dataclasses.fields(config_cls)}
     from_file = {}
     if getattr(args, "config", None):
         path = Path(args.config)
@@ -97,25 +89,17 @@ def _merged_options(args, config_cls) -> dict:
             raise ConfigurationError(f"config file {path} is not valid JSON: {exc}")
         if not isinstance(from_file, dict):
             raise ConfigurationError(f"config file {path} does not hold a JSON object")
-        unknown = sorted(set(from_file) - set(fields))
+        unknown = sorted(set(from_file) - fields)
         if unknown:
             raise ConfigurationError(
                 f"config file {path} has unknown fields: {', '.join(unknown)}"
             )
-        hints = typing.get_type_hints(config_cls)
-        for key, value in from_file.items():
-            kinds = typing.get_args(hints[key]) or (hints[key],)
-            if value is not None and not any(_fits(value, kind) for kind in kinds):
-                raise ConfigurationError(
-                    f"config file {path}: field {key!r} must be {fields[key]}, got {value!r}")
-    merged = {}
-    for key in fields:
-        value = getattr(args, key, None)
-        if value is None and key in from_file:
-            value = from_file[key]
-        if value is not None:
-            merged[key] = value
-    return merged
+        try:
+            check_field_types(config_cls, from_file)
+        except TypeError as exc:
+            raise ConfigurationError(f"config file {path}: {exc}") from None
+    flags = {key: getattr(args, key, None) for key in fields}
+    return {**from_file, **{key: value for key, value in flags.items() if value is not None}}
 
 
 def _positive_int(text: str) -> int:

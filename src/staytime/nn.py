@@ -143,20 +143,20 @@ class Mlp:
         """Trainable parameters plus batch-norm running statistics."""
         return self.blocks(self.flat)
 
-    def _bn_forward(self, i, a, update_stats, work):
+    def _bn_forward(self, i, a, work):
         """Train-mode batch norm of a, written over a: (a - mean) * k with
-        k = inv_std * scale; the layer bias is its shift.  Caches the centred
-        input xc and inv_std."""
+        k = inv_std * scale; the layer bias is its shift.  Folds the batch
+        statistics into the running ones, which only eval mode reads, and
+        caches the centred input xc and inv_std."""
         n = a.shape[0]
         mu = a.mean(axis=0)
         xc = np.subtract(a, mu, out=work.buf(("xc", i), *a.shape))
         var = np.einsum("ij,ij->j", xc, xc) / n  # a.var(axis=0)
         inv_std = 1.0 / np.sqrt(var + BN_EPS)
-        if update_stats:
-            mom = BN_MOMENTUM
-            unbiased = var * (n / (n - 1)) if n > 1 else var
-            self.bn_run_mean[i][...] = (1 - mom) * self.bn_run_mean[i] + mom * mu
-            self.bn_run_var[i][...] = (1 - mom) * self.bn_run_var[i] + mom * unbiased
+        mom = BN_MOMENTUM
+        unbiased = var * (n / (n - 1)) if n > 1 else var
+        self.bn_run_mean[i][...] = (1 - mom) * self.bn_run_mean[i] + mom * mu
+        self.bn_run_var[i][...] = (1 - mom) * self.bn_run_var[i] + mom * unbiased
         np.multiply(xc, inv_std * self.bn_scale[i], out=a)
         return {"xc": xc, "inv_std": inv_std}
 
@@ -190,33 +190,22 @@ class Mlp:
             pos &= np.less(rng.random(out=mask), keep, out=work.buf(("kept", i), *a.shape, bool))
         return np.multiply(pos, 1.0 / keep, out=mask)
 
-    def forward(self, X, mode="eval", rng=None, want_cache=False, update_stats=None,
-                work=None):
-        """Run the network; mode "train" uses batch statistics and dropout.
-
-        update_stats defaults to (mode == "train"); pass False to keep the
-        running statistics frozen, which makes train-mode forward a pure
-        function of the parameters (needed for finite-difference checks).
-
-        Train mode writes every per-row array into work, a Workspace of this
-        network (a fresh one when None), so the output and the cache are
-        views valid until its next train-mode call; want_cache only adds the
-        cache to the return value.  Eval mode allocates, runs on zero-padded
-        blocks of EVAL_ROWS rows, folds batch norm into one affine per layer
-        and keeps no cache.
-        """
+    def forward(self, X, mode="eval", rng=None, work=None):
+        """Run the network.  Eval mode returns the output: it allocates, runs
+        on zero-padded blocks of EVAL_ROWS rows and folds batch norm into one
+        affine per layer.  Train mode uses the batch statistics and dropout,
+        folds the batch statistics into the running ones, which it never
+        reads, and returns (output, cache) for backward: views into work, a
+        Workspace of this network (a fresh one when None), valid until its
+        next train-mode call."""
         if mode not in ("train", "eval"):
             raise ConfigurationError(f"unknown mode {mode!r}")
-        if update_stats is None:
-            update_stats = mode == "train"
         X = np.asarray(X, dtype=float)
         if X.ndim != 2 or X.shape[1] != self.layer_sizes[0]:
             raise ConfigurationError(
                 f"input shape {X.shape} does not match input width {self.layer_sizes[0]}"
             )
         train = mode == "train"
-        if want_cache and not train:
-            raise ConfigurationError("only a train-mode forward keeps a cache for backward")
         if train and self.dropout > 0.0 and rng is None:
             raise ConfigurationError("train-mode forward with dropout needs an rng")
         if train and work is None:
@@ -231,7 +220,7 @@ class Mlp:
             width = self.layer_sizes[i + 1]
             a = np.matmul(h, self.weights[i], out=work.buf(("a", i), n, width) if train else None)
             if train:
-                bn = self._bn_forward(i, a, update_stats, work) if self.batchnorm else None
+                bn = self._bn_forward(i, a, work) if self.batchnorm else None
                 a += self.biases[i]
                 mask = self._relu_dropout_mask(i, a, rng, work)
                 layers.append({"inp": h, "bn": bn, "mask": mask})
@@ -251,14 +240,14 @@ class Mlp:
             out = final["probs"] = softmax(out, out=out)
         if not train:
             return out.reshape(-1, self.layer_sizes[-1])[:n]
-        if want_cache:
-            return out, {"layers": layers, "final": final, "work": work}
-        return out
+        return out, {"layers": layers, "final": final, "work": work}
 
     def backward(self, dout, cache):
-        """(flat gradient laid out like flat_params, d loss / d input) of a
-        scalar loss given d loss / d output and the cache of a train-mode
-        forward; both are written into the cache's workspace."""
+        """(flat gradient laid out like flat_params, d loss / d (X @ W0)) of
+        a scalar loss given d loss / d output and the cache of a train-mode
+        forward; both are written into the cache's workspace.  The input
+        gradient is that second array @ W0.T, left to the one caller that
+        needs it."""
         work = cache["work"]
         final, grads = cache["final"], work.grads
         n, last = final["inp"].shape[0], self.n_layers - 1
@@ -270,17 +259,17 @@ class Mlp:
             dlogits *= p
         np.matmul(final["inp"].T, dlogits, out=grads[f"w{last}"])
         np.sum(dlogits, axis=0, out=grads[f"b{last}"])
-        dh = np.matmul(dlogits, self.weights[-1].T,
-                       out=work.buf(("dh", last), n, self.layer_sizes[last]))
+        dz = dlogits  # d loss / d (h @ W) of the layer at hand
         for i in range(self.n_hidden - 1, -1, -1):
             layer = cache["layers"][i]
-            dh *= layer["mask"]
-            db = np.sum(dh, axis=0, out=grads[f"b{i}"])
+            dz = np.matmul(dz, self.weights[i + 1].T,
+                           out=work.buf(("dh", i), n, self.layer_sizes[i + 1]))
+            dz *= layer["mask"]
+            db = np.sum(dz, axis=0, out=grads[f"b{i}"])
             if self.batchnorm:
-                dh = self._bn_backward(i, dh, layer["bn"], db, work)
-            np.matmul(layer["inp"].T, dh, out=grads[f"w{i}"])
-            dh = np.matmul(dh, self.weights[i].T, out=work.buf(("dh", i), n, self.layer_sizes[i]))
-        return work.grad, dh
+                dz = self._bn_backward(i, dz, layer["bn"], db, work)
+            np.matmul(layer["inp"].T, dz, out=grads[f"w{i}"])
+        return work.grad, dz
 
 
 @dataclass

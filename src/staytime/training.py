@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import dataclasses
 import numbers
+import typing
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -132,9 +133,7 @@ class Standardizer:
         scale = rows.std(axis=0)
         scale[scale == 0.0] = 1.0
         if skip_binary:
-            binary = np.array(
-                [set(np.unique(rows[:, j])) <= {0.0, 1.0} for j in range(rows.shape[1])]
-            )
+            binary = ((rows == 0) | (rows == 1)).all(axis=0)
             mean[binary] = 0.0
             scale[binary] = 1.0
         return cls(mean, scale)
@@ -266,11 +265,35 @@ class TrainConfig:
 
     @classmethod
     def from_dict(cls, d: dict) -> "TrainConfig":
+        if not isinstance(d, dict):
+            raise TypeError(f"a config is a JSON object, got {d!r}")
         known = {f.name for f in dataclasses.fields(cls)}
         unknown = set(d) - known
         if unknown:
             raise ConfigurationError(f"unknown config fields: {sorted(unknown)}")
+        check_field_types(cls, d)
         return cls(**d)
+
+
+def _fits(value, kind) -> bool:
+    """Whether a JSON value has one of a config field's types: JSON arrays
+    stand for tuples, a bool is not a number, and null is a value only where
+    the field admits None."""
+    if kind is tuple:
+        return isinstance(value, (list, tuple))
+    if isinstance(value, bool):
+        return kind is bool
+    return isinstance(value, (int, float) if kind is float else kind)
+
+
+def check_field_types(config_cls, values: dict) -> None:
+    """Raise TypeError naming the first of values, keyed by field names of
+    the config dataclass, whose value fits none of its field's types."""
+    hints = typing.get_type_hints(config_cls)
+    declared = {f.name: f.type for f in dataclasses.fields(config_cls)}
+    for key, value in values.items():
+        if not any(_fits(value, kind) for kind in typing.get_args(hints[key]) or (hints[key],)):
+            raise TypeError(f"field {key!r} must be {declared[key]}, got {value!r}")
 
 
 @dataclass
@@ -454,11 +477,11 @@ class _Components:
             name for name, g in self.grad_blocks(self.grad).items() if not np.isfinite(g).all())
         raise DivergenceError(f"non-finite value in {bad} at epoch {epoch}")
 
-    def batch_loss_and_grads(self, local_idx, rng, update_stats=None):
+    def batch_loss_and_grads(self, local_idx, rng):
         """Train-mode forward and backward over the training records at
         local_idx: the chain rule runs from the loss through f's input
-        gradient into g and the decay raw value.  Returns the loss and the
-        flat gradient, written in place."""
+        gradient, formed here only when g or the decay raw value needs it.
+        Returns the loss and the flat gradient, written in place."""
         config, decay = self.config, self.decay
         global_idx = self.train_idx[local_idx]
         X, dem = self.inputs_at(global_idx)
@@ -467,28 +490,26 @@ class _Components:
             u = batch.stay_times(decay.value)
             W, gcache = batch.weights, None
             if config.model == "ctr-n":
-                W, gcache = self.gnet.forward(
-                    batch.rows, mode="train", rng=rng, want_cache=True,
-                    update_stats=update_stats, work=self.work[self.gnet],
-                )
+                W, gcache = self.gnet.forward(batch.rows, mode="train", rng=rng,
+                                              work=self.work[self.gnet])
             starts = batch.offsets[:-1]
             prod = self.scratch.buf("prod", *W.shape)
             Z, totals = segment_ctr(u, W, starts, config.normalize_ctr, scratch=prod)
             X = Z
         if dem is not None:
             X = np.concatenate([X, dem], axis=1)
-        out, fcache = self.f.forward(X, mode="train", rng=rng, want_cache=True,
-                                     update_stats=update_stats, work=self.work[self.f])
+        out, fcache = self.f.forward(X, mode="train", rng=rng, work=self.work[self.f])
         preds = out[:, 0]
         t = self.times[global_idx]
         if config.loss == "squared":
             loss, dpred = squared_loss(preds, t)
         else:
             loss, dpred = combined_loss(preds, t, self.censored[global_idx])
-        _, dX = self.f.backward(dpred[:, None], fcache)
+        _, da0 = self.f.backward(dpred[:, None], fcache)
         if config.model == "static" or (config.model != "ctr-n" and not decay.trainable):
             return loss, self.grad
 
+        dX = np.matmul(da0, self.f.weights[0].T, out=self.scratch.buf("dX", *X.shape))
         gz = dX[:, : Z.shape[1]]
         if config.normalize_ctr:
             gz = gz / totals[:, None]
@@ -571,17 +592,18 @@ def gradient_check_model(dataset: SurvivalDataset, config: TrainConfig,
                          max_entries: int | None = None) -> dict:
     """Finite-difference check of the production backward pass.
 
-    Runs the training loop's batch step, in deterministic mode:
-    dropout forced off, batch-norm on batch statistics with frozen running
-    stats.  Returns max relative error per parameter block; blocks cover f,
-    and for ctr-n also g and the decay raw value when trainable.
+    Runs the training loop's batch step with dropout forced off, so the loss
+    is a pure function of the parameters: train-mode batch norm reads only
+    the batch statistics.  Returns max relative error per parameter block;
+    blocks cover f, and for ctr-n also g and the decay raw value when
+    trainable.
     """
     config = replace(config, dropout=0.0)
     comp = _Components(dataset, config)
     local = np.arange(min(config.batch_size, len(comp.train_idx)))
 
     def loss_and_grads():
-        loss, grad = comp.batch_loss_and_grads(local, None, update_stats=False)
+        loss, grad = comp.batch_loss_and_grads(local, None)
         return loss, comp.grad_blocks(grad.copy())
 
     rng = np.random.default_rng(np.random.SeedSequence([config.seed, 0xC7EC]))

@@ -34,6 +34,15 @@ def members(path) -> dict:
         return {k: npz[k] for k in npz.files}
 
 
+def edit_meta(path, edit) -> None:
+    """Rewrite the checkpoint at path with edit(meta) applied to its metadata."""
+    arrays = members(path)
+    meta = json.loads(bytes(arrays["meta"]).decode("utf-8"))
+    edit(meta)
+    arrays["meta"] = np.frombuffer(json.dumps(meta).encode("utf-8"), dtype=np.uint8)
+    np.savez(path, **arrays)
+
+
 @pytest.mark.parametrize("model, dem, overrides", FITS)
 def test_roundtrip_predictions_bit_identical(tmp_path, model, dem, overrides):
     data = with_demographics(toy_dataset(censor_rate=0.3)) if dem else toy_dataset()
@@ -157,16 +166,25 @@ def test_missing_or_misshaped_member_named(tmp_path, model, change, message):
 @pytest.mark.parametrize("config, message", [
     ({"model": "ctr-x"}, "unknown model kind 'ctr-x'"),
     (5, "checkpoint config is invalid"),
+    (["model"], "checkpoint config is invalid"),
     ({"model": "ctr-d", "learning_rate": "fast"}, "checkpoint config is invalid"),
-], ids=["unknown-model", "not-an-object", "wrong-type"])
+], ids=["unknown-model", "not-an-object", "a-list", "wrong-type"])
 def test_bad_config_named(tmp_path, config, message):
     save_checkpoint(train_model(toy_dataset(), tiny_config("ctr-d")), tmp_path / "m.npz")
-    arrays = members(tmp_path / "m.npz")
-    meta = json.loads(bytes(arrays["meta"]).decode("utf-8"))
-    meta["config"] = config
-    arrays["meta"] = np.frombuffer(json.dumps(meta).encode("utf-8"), dtype=np.uint8)
-    np.savez(tmp_path / "m.npz", **arrays)
+    edit_meta(tmp_path / "m.npz", lambda meta: meta.update(config=config))
     with pytest.raises(ValidationError, match="^m.npz: " + message):
+        load_checkpoint(tmp_path / "m.npz")
+
+
+@pytest.mark.parametrize("field, value", [("normalize_ctr", "no"), ("decay_trainable", "yes")])
+def test_config_value_of_another_type_refused(tmp_path, field, value):
+    # a truthy string is no bool: loaded as one, the model would predict
+    # unlike the model that was saved
+    save_checkpoint(train_model(toy_dataset(), tiny_config("ctr-d")), tmp_path / "m.npz")
+    edit_meta(tmp_path / "m.npz", lambda meta: meta["config"].update({field: value}))
+    with pytest.raises(ValidationError, match=(
+            rf"^m.npz: checkpoint config is invalid \(field '{field}' must be bool, "
+            rf"got '{value}'\)$")):
         load_checkpoint(tmp_path / "m.npz")
 
 
@@ -191,10 +209,7 @@ def test_format_2_rejected(tmp_path):
     # format 2 also kept the network shapes, state kind and standardizer list
     # in its metadata; format 3 takes them from the config and the arrays
     save_checkpoint(train_model(toy_dataset(), tiny_config("ctr-d")), tmp_path / "m.npz")
-    arrays = members(tmp_path / "m.npz")
-    meta = json.loads(bytes(arrays["meta"]).decode("utf-8"))
-    meta.update(format_version=2, seed=0, state_kind="discrete", standardizers=[])
-    arrays["meta"] = np.frombuffer(json.dumps(meta).encode("utf-8"), dtype=np.uint8)
-    np.savez(tmp_path / "m.npz", **arrays)
+    edit_meta(tmp_path / "m.npz", lambda meta: meta.update(
+        format_version=2, seed=0, state_kind="discrete", standardizers=[]))
     with pytest.raises(ValidationError, match="unsupported checkpoint version 2$"):
         load_checkpoint(tmp_path / "m.npz")

@@ -144,6 +144,10 @@ class TestConfigFile:
         ("generate", {"seed": "abc"}, "seed"),
         ("generate", {"seed": 0, "n_records": "many"}, "n_records"),
         ("train", {"model": "ctr-d", "seed": 0, "epochs": "ten"}, "epochs"),
+        # null is a value, refused where the field admits no None
+        ("train", {"model": "ctr-d", "seed": 0, "epochs": None}, "epochs"),
+        ("train", {"model": None, "seed": 0}, "model"),
+        ("generate", {"seed": 0, "n_records": None}, "n_records"),
     ])
     def test_config_of_wrong_shape_or_type_rejected(self, tmp_path, capsys, data_dir,
                                                     command, content, key):
@@ -154,12 +158,23 @@ class TestConfigFile:
             argv += ["--data", str(data_dir)]
         code, _, stderr = run(capsys, command, *argv)
         assert code == 1
-        assert "Traceback" not in stderr
-        err = last_json(stderr)
+        err = one_error_line(stderr)
         assert err["error"] == "ConfigurationError"
         assert "bad.json" in err["message"]
         if key is not None:
             assert repr(key) in err["message"]
+
+    @pytest.mark.parametrize("model", ["ctr-d", "ctr-k", "ctr-n", "static"])
+    def test_written_config_reproduces_the_run(self, tmp_path, capsys, data_dir, model):
+        # --auto-range writes "value_range": null, which the second run must
+        # read as None, not as the default range
+        first, second = tmp_path / "run1", tmp_path / "run2"
+        assert run(capsys, "train", "--data", str(data_dir), "--model", model, "--seed", "0",
+                   "--epochs", "2", "--auto-range", "--out", str(first))[0] == 0
+        assert run(capsys, "train", "--data", str(data_dir),
+                   "--config", str(first / "config.json"), "--out", str(second))[0] == 0
+        for name in ("config.json", "checkpoint.npz", "history.jsonl"):
+            assert (first / name).read_bytes() == (second / name).read_bytes(), name
 
 
 class TestFeaturize:

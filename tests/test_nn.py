@@ -7,11 +7,12 @@ from staytime import AdamState, ConfigurationError, Mlp, adam_step, grad_check
 from staytime.nn import BN_EPS, Workspace, log_sigmoid, relu, softmax
 
 
-def mse_closure(net, X, y, mode="train", update_stats=False):
-    """Deterministic loss-and-grads closure over the current parameters."""
+def mse_closure(net, X, y):
+    """Deterministic train-mode loss-and-grads closure over the current
+    parameters."""
 
     def loss_and_grads():
-        out, cache = net.forward(X, mode=mode, want_cache=True, update_stats=update_stats)
+        out, cache = net.forward(X, mode="train")
         pred = out[:, 0]
         loss = float(np.mean((pred - y) ** 2))
         dpred = 2.0 * (pred - y) / len(y)
@@ -70,7 +71,7 @@ class TestFoldedEval:
         # non-trivial running statistics, then biases and scales
         for _ in range(3):
             out, cache = net.forward(rng.normal(1.0, 2.0, size=(32, 4)), mode="train",
-                                     rng=rng, want_cache=True)
+                                     rng=rng)
         grad, _ = net.backward(rng.normal(size=out.shape), cache)
         adam_step([net.flat_params], grad, AdamState(lr=0.05))
         for v in (net.biases[0], net.bn_run_mean[0], net.bn_run_var[0] - 1.0,
@@ -87,8 +88,8 @@ class TestFoldedEval:
 
     def test_eval_mode_keeps_no_cache(self):
         net = Mlp([4, 6, 1], rng=0)
-        with pytest.raises(ConfigurationError):
-            net.forward(np.zeros((3, 4)), want_cache=True)
+        out = net.forward(np.zeros((3, 4)))
+        assert isinstance(out, np.ndarray) and out.shape == (3, 1)
 
 
 class TestSoftmax:
@@ -114,7 +115,7 @@ class TestBatchNorm:
         rng = np.random.default_rng(5)
         net = Mlp([4, 16, 1], batchnorm=True, dropout=0.0, rng=rng)
         X = rng.normal(loc=3.0, scale=2.5, size=(64, 4))
-        _, cache = net.forward(X, mode="train", want_cache=True, update_stats=False)
+        _, cache = net.forward(X, mode="train")
         bn = cache["layers"][0]["bn"]
         xhat = bn["xc"] * bn["inv_std"]
         np.testing.assert_allclose(xhat.mean(axis=0), 0.0, atol=1e-6)
@@ -140,12 +141,28 @@ class TestBatchNorm:
         shifted = X + 10.0
         # train-mode output is invariant to the shift (batch stats absorb it);
         # eval-mode output is not, because the running stats are fixed
-        out_train, cache = net.forward(shifted, mode="train", want_cache=True,
-                                       update_stats=False)
-        base_train, base_cache = net.forward(X, mode="train", want_cache=True,
-                                             update_stats=False)
+        out_train, cache = net.forward(shifted, mode="train")
+        base_train, base_cache = net.forward(X, mode="train")
         np.testing.assert_allclose(out_train, base_train, atol=1e-8)
         assert not np.allclose(net.forward(shifted), net.forward(X))
+
+    def test_running_stats_do_not_reach_train_mode(self):
+        # train mode reads only the batch statistics, so it needs no switch to
+        # freeze the running ones: its output and gradient keep their bits
+        rng = np.random.default_rng(26)
+        net = Mlp([3, 8, 6, 2], dropout=0.3, rng=rng)
+        X, dout = rng.normal(size=(32, 3)), rng.normal(size=(32, 2))
+
+        def step():
+            out, cache = net.forward(X, mode="train", rng=np.random.default_rng(27))
+            grad, da0 = net.backward(dout, cache)
+            return out.copy(), grad.copy(), da0.copy()
+
+        before = step()
+        for v in net.bn_run_mean + net.bn_run_var:
+            v[...] = rng.uniform(0.5, 3.0, size=v.shape)
+        for a, b in zip(before, step()):
+            np.testing.assert_array_equal(a, b)
 
 
 class TestDropout:
@@ -155,7 +172,7 @@ class TestDropout:
         X = rng.normal(size=(4, 3))
         eval_out = net.forward(X)
         draws = np.stack(
-            [net.forward(X, mode="train", rng=rng) for _ in range(10000)]
+            [net.forward(X, mode="train", rng=rng)[0] for _ in range(10000)]
         )
         se = draws.std(axis=0, ddof=1) / np.sqrt(draws.shape[0])
         assert np.all(np.abs(draws.mean(axis=0) - eval_out) <= 3 * se + 1e-12)
@@ -164,7 +181,7 @@ class TestDropout:
         rng = np.random.default_rng(9)
         net = Mlp([3, 50, 1], batchnorm=False, dropout=0.5, rng=rng)
         X = rng.normal(size=(2, 3))
-        _, cache = net.forward(X, mode="train", rng=rng, want_cache=True)
+        _, cache = net.forward(X, mode="train", rng=rng)
         mask = cache["layers"][0]["mask"]
         assert set(np.unique(mask)) <= {0.0, 2.0}
 
@@ -175,7 +192,7 @@ class TestDropout:
         net = Mlp([3, 16, 12, 5], dropout=0.5, rng=0)
         X = np.random.default_rng(1).normal(size=(n, 3))
         rng, ref = np.random.default_rng(23), np.random.default_rng(23)
-        _, cache = net.forward(X, mode="train", rng=rng, want_cache=True)
+        _, cache = net.forward(X, mode="train", rng=rng)
         draws = [ref.random((n, 16)), ref.random((n, 12))]
         assert rng.bit_generator.state == ref.bit_generator.state
         for layer, d in zip(cache["layers"], draws):
@@ -187,7 +204,7 @@ class TestDropout:
         net = Mlp([3, 8, 2], batchnorm=False, dropout=0.0, rng=rng)
         X = rng.normal(size=(5, 3))
         np.testing.assert_array_equal(
-            net.forward(X, mode="train", update_stats=False), net.forward(X)
+            net.forward(X, mode="train")[0], net.forward(X)
         )
 
 
@@ -207,7 +224,7 @@ class TestBackward:
         net = Mlp([4, 10, 1], batchnorm=True, dropout=0.0, rng=rng)
         X = rng.normal(size=(8, 4))
         y = rng.normal(size=8)
-        report = grad_check(net.params(), mse_closure(net, X, y, mode="train"))
+        report = grad_check(net.params(), mse_closure(net, X, y))
         assert max(report.values()) < 1e-3
         assert set(report) == {"w0", "b0", "w1", "b1", "bn0_scale"}
 
@@ -219,8 +236,7 @@ class TestBackward:
         target = rng.uniform(0.5, 1.5, size=(6, 5))
 
         def loss_and_grads():
-            out, cache = net.forward(X, mode="train", want_cache=True,
-                                     update_stats=False)
+            out, cache = net.forward(X, mode="train")
             loss = float(np.sum((out - target) ** 2))
             grad, _ = net.backward(2.0 * (out - target), cache)
             return loss, net.blocks(grad)
@@ -234,7 +250,7 @@ class TestBackward:
         # one bias comes after batch norm, so no block of params() is dead
         rng = np.random.default_rng(25)
         net = Mlp([3, 8, 6, 2], dropout=0.0, rng=rng)
-        out, cache = net.forward(rng.normal(size=(32, 3)), mode="train", want_cache=True)
+        out, cache = net.forward(rng.normal(size=(32, 3)), mode="train")
         grad, _ = net.backward(rng.normal(size=out.shape), cache)
         assert list(net.blocks(grad)) == list(net.params())
         for name, g in net.blocks(grad).items():
@@ -246,9 +262,10 @@ class TestBackward:
         X = rng.normal(size=(5, 4))
         y = rng.normal(size=5)
 
-        out, cache = net.forward(X, mode="train", want_cache=True, update_stats=False)
+        out, cache = net.forward(X, mode="train")
         dpred = 2.0 * (out[:, 0] - y) / 5.0
-        _, dx = net.backward(dpred[:, None], cache)
+        _, da0 = net.backward(dpred[:, None], cache)
+        dx = da0 @ net.weights[0].T
 
         eps = 1e-6
         for i in (0, 3):
@@ -256,8 +273,8 @@ class TestBackward:
                 Xp, Xm = X.copy(), X.copy()
                 Xp[i, j] += eps
                 Xm[i, j] -= eps
-                lp = np.mean((net.forward(Xp, mode="train", update_stats=False)[:, 0] - y) ** 2)
-                lm = np.mean((net.forward(Xm, mode="train", update_stats=False)[:, 0] - y) ** 2)
+                lp = np.mean((net.forward(Xp, mode="train")[0][:, 0] - y) ** 2)
+                lm = np.mean((net.forward(Xm, mode="train")[0][:, 0] - y) ** 2)
                 assert dx[i, j] == pytest.approx((lp - lm) / (2 * eps), rel=1e-4, abs=1e-10)
 
 
@@ -355,15 +372,14 @@ class TestWorkspace:
             fresh = Mlp([3, 16, 12, 5], out_activation=out_activation, dropout=0.5)
             fresh.flat[...] = net.flat
             out, cache = net.forward(X, mode="train", rng=np.random.default_rng(seed),
-                                     want_cache=True, work=work)
-            grad, dx = net.backward(dout, cache)
-            f_out, f_cache = fresh.forward(X, mode="train", rng=np.random.default_rng(seed),
-                                           want_cache=True)
-            f_grad, f_dx = fresh.backward(dout, f_cache)
+                                     work=work)
+            grad, da0 = net.backward(dout, cache)
+            f_out, f_cache = fresh.forward(X, mode="train", rng=np.random.default_rng(seed))
+            f_grad, f_da0 = fresh.backward(dout, f_cache)
             assert grad is work.grad
             np.testing.assert_array_equal(out, f_out)
             np.testing.assert_array_equal(grad, f_grad)
-            np.testing.assert_array_equal(dx, f_dx)
+            np.testing.assert_array_equal(da0, f_da0)
             np.testing.assert_array_equal(net.flat, fresh.flat)  # running statistics
 
     def test_flat_vector_views(self):
