@@ -42,7 +42,7 @@ from .training import (
     LOSS_KINDS,
     MODEL_KINDS,
     TrainConfig,
-    check_field_types,
+    check_config,
     gradient_check_model,
     static_features_batch,
     train_model,
@@ -83,20 +83,10 @@ def _merged_options(args, config_cls) -> dict:
         path = Path(args.config)
         if not path.exists():
             raise ConfigurationError(f"config file {path} does not exist")
-        try:
-            from_file = json.loads(path.read_text())
-        except json.JSONDecodeError as exc:
-            raise ConfigurationError(f"config file {path} is not valid JSON: {exc}")
-        if not isinstance(from_file, dict):
-            raise ConfigurationError(f"config file {path} does not hold a JSON object")
-        unknown = sorted(set(from_file) - fields)
-        if unknown:
-            raise ConfigurationError(
-                f"config file {path} has unknown fields: {', '.join(unknown)}"
-            )
-        try:
-            check_field_types(config_cls, from_file)
-        except TypeError as exc:
+        try:  # a JSONDecodeError or UnicodeDecodeError is a ValueError
+            from_file = json.loads(path.read_text(encoding="utf-8"))
+            check_config(config_cls, from_file)
+        except (ValueError, TypeError, ConfigurationError) as exc:
             raise ConfigurationError(f"config file {path}: {exc}") from None
     flags = {key: getattr(args, key, None) for key in fields}
     return {**from_file, **{key: value for key, value in flags.items() if value is not None}}

@@ -10,7 +10,6 @@ a labeled SurvivalDataset, or a list of ObservationSequence plus label arrays.
 from __future__ import annotations
 
 import dataclasses
-import inspect
 
 import numpy as np
 
@@ -23,26 +22,24 @@ from .training import TrainConfig, require_count, train_model
 
 
 class ParamsMixin:
-    """get_params/set_params over the constructor signature, sklearn-style."""
+    """Estimator parameters over the class's DEFAULTS table, sklearn-style:
+    the constructor takes keywords only and stores each value verbatim,
+    the default where none is given; get_params, set_params and repr use
+    the table's names in its order, and an unknown name is refused."""
 
-    @classmethod
-    def _param_names(cls) -> list:
-        sig = inspect.signature(cls.__init__)
-        return [
-            name for name, p in sig.parameters.items()
-            if name != "self" and p.kind is p.POSITIONAL_OR_KEYWORD
-        ]
+    DEFAULTS: dict = {}
+
+    def __init__(self, **params):
+        self.set_params(**{**self.DEFAULTS, **params})
 
     def get_params(self, deep: bool = True) -> dict:
-        return {name: getattr(self, name) for name in self._param_names()}
+        return {name: getattr(self, name) for name in self.DEFAULTS}
 
     def set_params(self, **params):
-        valid = set(self._param_names())
+        unknown = sorted(set(params) - set(self.DEFAULTS))
+        if unknown:
+            raise ConfigurationError(f"invalid parameters {unknown} for {type(self).__name__}")
         for key, value in params.items():
-            if key not in valid:
-                raise ConfigurationError(
-                    f"invalid parameter {key!r} for {type(self).__name__}"
-                )
             setattr(self, key, value)
         return self
 
@@ -68,19 +65,8 @@ class CtrFeaturizer(ParamsMixin):
     fit learns the state function, transform maps records to (N, K) rows.
     """
 
-    def __init__(self, kind: str = "grid", segments: int = 5,
-                 value_range=(-1.0, 1.0), clamp: bool = False,
-                 n_bases: int = 100, gamma: float = 1.0, decay: float = 1.0,
-                 normalize: bool = False, random_state: int = 0):
-        self.kind = kind
-        self.segments = segments
-        self.value_range = value_range
-        self.clamp = clamp
-        self.n_bases = n_bases
-        self.gamma = gamma
-        self.decay = decay
-        self.normalize = normalize
-        self.random_state = random_state
+    DEFAULTS = dict(kind="grid", segments=5, value_range=(-1.0, 1.0), clamp=False,
+                    n_bases=100, gamma=1.0, decay=1.0, normalize=False, random_state=0)
 
     def fit(self, X, y=None):
         pooled = as_dataset(X).rows
@@ -106,9 +92,6 @@ class CtrFeaturizer(ParamsMixin):
         return self.fit(X, y).transform(X)
 
 
-_REGRESSOR_DEFAULTS = {f.name: f.default for f in dataclasses.fields(TrainConfig)} | {"model": "ctr-d"}
-
-
 class StayTimeRegressor(ParamsMixin):
     """Survival-time regressor over stay-time features, estimator-style.
 
@@ -118,16 +101,7 @@ class StayTimeRegressor(ParamsMixin):
     concordance index, so higher is better and 0.5 is chance.
     """
 
-    def __init__(self, **params):
-        unknown = set(params) - set(_REGRESSOR_DEFAULTS)
-        if unknown:
-            raise ConfigurationError(f"invalid parameters {sorted(unknown)} for StayTimeRegressor")
-        for name, default in _REGRESSOR_DEFAULTS.items():
-            setattr(self, name, params.get(name, default))
-
-    @classmethod
-    def _param_names(cls) -> list:
-        return list(_REGRESSOR_DEFAULTS)
+    DEFAULTS = {f.name: f.default for f in dataclasses.fields(TrainConfig)} | {"model": "ctr-d"}
 
     def _config(self) -> TrainConfig:
         return TrainConfig(**self.get_params())

@@ -17,7 +17,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .errors import ConfigurationError, UndefinedResultError, ValidationError, WorkerError
+from .errors import UndefinedResultError, ValidationError, WorkerError
 from .sequences import SurvivalDataset, as_float_array
 from .training import TrainConfig, require_count, shuffled_strata, train_model
 
@@ -142,8 +142,8 @@ class FoldReport:
     def stderr(self) -> float:
         return _stderr(self._valid_scores())
 
-    def to_dict(self, include_timing: bool = True) -> dict:
-        out = {
+    def to_dict(self) -> dict:
+        return {
             "model": self.model,
             "k": self.k,
             "seed": self.seed,
@@ -155,30 +155,13 @@ class FoldReport:
             "predictions": [[float(p) for p in f] for f in self.predictions],
             "config": self.config,
             "warnings": list(self.warnings),
+            "wall_clock": [float(t) for t in self.wall_clock],
         }
-        if include_timing:
-            out["wall_clock"] = [float(t) for t in self.wall_clock]
-        return out
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "FoldReport":
-        return cls(
-            model=d["model"],
-            k=d["k"],
-            seed=d["seed"],
-            scores=list(d["scores"]),
-            chosen=list(d["chosen"]),
-            wall_clock=list(d.get("wall_clock", [0.0] * d["k"])),
-            test_indices=[list(f) for f in d["test_indices"]],
-            predictions=[list(f) for f in d["predictions"]],
-            config=d["config"],
-            warnings=list(d.get("warnings", [])),
-        )
 
 
 def kfold_cv(dataset: SurvivalDataset, config, k: int = 5, seed: int = 0,
-             grid: list | None = None, jobs: int = 1) -> FoldReport:
-    """k-fold cross-validation with a per-fold hyperparameter search.
+             jobs: int = 1) -> FoldReport:
+    """k-fold cross-validation with a per-fold search of default_grid(config).
 
     The fold partition is drawn from `seed` alone, independent of the training
     config, so two different configs evaluated with the same seed land on
@@ -190,38 +173,36 @@ def kfold_cv(dataset: SurvivalDataset, config, k: int = 5, seed: int = 0,
     any record is censored.  jobs is the number of worker processes (see
     run_jobs); the report does not depend on it.
     """
-    grids = None if grid is None else [grid]
-    return cross_validate(dataset, [config], k, seed, grids, jobs)[0]
+    return cross_validate(dataset, [config], k, seed, jobs)[0]
 
 
 def cross_validate(dataset: SurvivalDataset, configs: list, k: int = 5, seed: int = 0,
-                   grids: list | None = None, jobs: int = 1) -> list:
+                   jobs: int = 1) -> list:
     """kfold_cv of every config on one fold partition, as one job list.
 
-    The folds are stratified by censoring whenever any record is censored.
-    There is one job per (config, fold, grid candidate), and all of them go
-    to one run_jobs call, which returns the results in job order however
-    the jobs ran.  They are merged in config, fold and grid order, and a
-    fold keeps its earliest best candidate, so the FoldReports are the same
-    for every jobs value (except wall_clock, each fold's summed job seconds).
+    Each config searches only its own default_grid, so a report's config, k
+    and seed describe the whole run.  The folds are stratified by censoring
+    whenever any record is censored.  There is one job per (config, fold,
+    grid candidate), and all of them go to one run_jobs call, which returns
+    the results in job order however the jobs ran.  They are merged in
+    config, fold and grid order, and a fold keeps its earliest best
+    candidate, so the FoldReports are the same for every jobs value (except
+    wall_clock, each fold's summed job seconds).
     """
     require_count("fold seed", seed, 0)
     times = dataset.event_times()
     censored = dataset.censor_mask()
     rng = np.random.default_rng(np.random.SeedSequence([seed, k]))
     folds = fold_assignments(len(dataset), k, rng, censored)
-    grids = [default_grid(c) if g is None else list(g)
-             for c, g in zip(configs, grids or [None] * len(configs))]
-    if not all(grids):
-        raise ConfigurationError("a hyperparameter grid needs at least one candidate")
+    searches = [default_grid(config) for config in configs]
 
     fit_jobs = [FitJob(replace(config, **overrides), fold)
-                for config, grid in zip(configs, grids)
+                for config, grid in zip(configs, searches)
                 for fold in folds for overrides in grid]
     results = iter(run_jobs(dataset, fit_jobs, jobs))
 
     reports = []
-    for config, grid in zip(configs, grids):
+    for config, grid in zip(configs, searches):
         scores, chosen, walls, test_idx_out, preds_out, warnings = [], [], [], [], [], []
         for j, fold in enumerate(folds):
             fits = [next(results) for _ in grid]
@@ -254,7 +235,8 @@ def cross_validate(dataset: SurvivalDataset, configs: list, k: int = 5, seed: in
 
 
 def default_grid(config: TrainConfig) -> list:
-    """The exhaustive candidate grid a model kind searches by default."""
+    """The field overrides each fold of config's cross-validation searches:
+    one per gamma_grid entry for CTR-K, else the config alone."""
     if config.model == "ctr-k":
         return [{"gamma": g} for g in config.gamma_grid]
     return [{}]

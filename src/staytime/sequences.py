@@ -142,10 +142,6 @@ class ObservationSequence:
         otherwise the gap to the previous timestamp (time zero before the first)."""
         return self._gaps.copy()
 
-    def period(self) -> float:
-        """Span between first and last observation time."""
-        return float(self.timestamps[-1] - self.timestamps[0])
-
 
 def _bad_event_times(times):
     """Where times cannot be observed event times."""

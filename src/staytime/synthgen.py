@@ -19,7 +19,7 @@ from .errors import ConfigurationError
 from .representation import compute_ctr_batch
 from .sequences import SurvivalDataset
 from .states import DiscreteStateFunction, SegmentGrid, build_grid
-from .training import require_count
+from .training import check_field_types, require_count
 
 WEIGHT_PROFILES = ("coordinate", "index")
 BLOCK_RECORDS = 256
@@ -49,6 +49,7 @@ class SynthConfig:
     weight_profile: str = "index"
 
     def __post_init__(self):
+        check_field_types(type(self), vars(self), ConfigurationError)
         for name, low in (("seed", 0), ("n_records", 1), ("n_obs", 1), ("n_dims", 1),
                           ("n_states", 1)):
             require_count(name, getattr(self, name), low)

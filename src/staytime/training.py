@@ -10,6 +10,7 @@ from the loss through f's input gradient into the stay-time weights.
 from __future__ import annotations
 
 import dataclasses
+import functools
 import numbers
 import typing
 from dataclasses import dataclass, field, replace
@@ -192,6 +193,7 @@ class TrainConfig:
     normalize_ctr: bool = False
 
     def __post_init__(self):
+        check_field_types(type(self), vars(self), ConfigurationError)
         if self.model not in MODEL_KINDS:
             raise ConfigurationError(f"unknown model kind {self.model!r}")
         if self.loss not in LOSS_KINDS:
@@ -228,7 +230,7 @@ class TrainConfig:
                                                     and all(map(_is_pair, vr)))):
             raise ConfigurationError(
                 f"value_range must be one (min, max) pair or one per dimension, got {vr!r}")
-        if not (isinstance(self.gamma_grid, tuple) and self.gamma_grid and all(
+        if not (self.gamma_grid and all(
                 _is_number(g) and 0 < g < np.inf for g in self.gamma_grid)):
             raise ConfigurationError(
                 f"gamma_grid must hold positive finite numbers, got {self.gamma_grid!r}")
@@ -265,35 +267,46 @@ class TrainConfig:
 
     @classmethod
     def from_dict(cls, d: dict) -> "TrainConfig":
-        if not isinstance(d, dict):
-            raise TypeError(f"a config is a JSON object, got {d!r}")
-        known = {f.name for f in dataclasses.fields(cls)}
-        unknown = set(d) - known
-        if unknown:
-            raise ConfigurationError(f"unknown config fields: {sorted(unknown)}")
-        check_field_types(cls, d)
+        check_config(cls, d)
         return cls(**d)
 
 
 def _fits(value, kind) -> bool:
     """Whether a JSON value has one of a config field's types: JSON arrays
-    stand for tuples, a bool is not a number, and null is a value only where
-    the field admits None."""
+    stand for tuples, any integer is an int and any real number a float (so
+    numpy scalars count), a bool is not a number, and null is a value only
+    where the field admits None."""
     if kind is tuple:
         return isinstance(value, (list, tuple))
     if isinstance(value, bool):
         return kind is bool
-    return isinstance(value, (int, float) if kind is float else kind)
+    return isinstance(value, {int: numbers.Integral, float: numbers.Real}.get(kind, kind))
 
 
-def check_field_types(config_cls, values: dict) -> None:
-    """Raise TypeError naming the first of values, keyed by field names of
-    the config dataclass, whose value fits none of its field's types."""
-    hints = typing.get_type_hints(config_cls)
-    declared = {f.name: f.type for f in dataclasses.fields(config_cls)}
+_type_hints = functools.cache(typing.get_type_hints)  # configs check their types often
+
+
+def check_field_types(config_cls, values: dict, error=TypeError) -> None:
+    """Raise error naming the first of values, keyed by field names of the
+    config dataclass, whose value fits none of its field's types."""
+    hints = _type_hints(config_cls)
     for key, value in values.items():
         if not any(_fits(value, kind) for kind in typing.get_args(hints[key]) or (hints[key],)):
-            raise TypeError(f"field {key!r} must be {declared[key]}, got {value!r}")
+            declared = config_cls.__dataclass_fields__[key].type
+            raise error(f"field {key!r} must be {declared}, got {value!r}")
+
+
+def check_config(config_cls, d) -> None:
+    """Refuse d as the fields of a config dataclass, in this order: unless it
+    is a JSON object (TypeError), if it names an unknown field
+    (ConfigurationError), or if a value fits none of its field's types
+    (TypeError)."""
+    if not isinstance(d, dict):
+        raise TypeError(f"a config is a JSON object, got {d!r}")
+    unknown = set(d) - {f.name for f in dataclasses.fields(config_cls)}
+    if unknown:
+        raise ConfigurationError(f"unknown config fields: {sorted(unknown)}")
+    check_field_types(config_cls, d)
 
 
 @dataclass

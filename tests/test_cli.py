@@ -138,6 +138,17 @@ class TestConfigFile:
         assert code == 1
         assert last_json(stderr)["error"] == "ConfigurationError"
 
+    def test_non_utf8_config_is_one_json_line(self, tmp_path, capsys):
+        cfg = tmp_path / "gen.json"
+        cfg.write_bytes(b"\xff\xfe\x00")
+        code, stdout, stderr = run(capsys, "generate", "--config", str(cfg),
+                                   "--out", str(tmp_path / "d"))
+        assert (code, stdout) == (1, "")
+        err = one_error_line(stderr)
+        assert err["error"] == "ConfigurationError"
+        assert "gen.json" in err["message"] and "utf-8" in err["message"]
+        assert not (tmp_path / "d").exists()
+
     @pytest.mark.parametrize("command, content, key", [
         ("generate", 5, None),
         ("generate", [1], None),

@@ -100,6 +100,14 @@ class TestRegressor:
         with pytest.raises(ConfigurationError):
             fast_regressor(epochs=0).fit(synth)
 
+    def test_mistyped_param_refused_at_fit(self, synth):
+        with pytest.raises(ConfigurationError, match="'batchnorm'"):
+            fast_regressor(batchnorm="no").fit(synth)
+
+    def test_positional_params_refused(self):
+        with pytest.raises(TypeError):
+            CtrFeaturizer("kernel")
+
 
 class TestFeaturizer:
     def test_grid_matches_batch_function(self, synth):

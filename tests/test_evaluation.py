@@ -1,5 +1,6 @@
 """Concordance scoring, cross-validation folds, and period-bucketed comparison."""
 
+import json
 import multiprocessing
 import os
 import subprocess
@@ -15,7 +16,6 @@ from staytime import DivergenceError, UndefinedResultError, ValidationError
 from staytime import evaluation
 from staytime.evaluation import (
     FitJob,
-    FoldReport,
     _DIRECT_COUNT_MAX,
     _pair_counts,
     c_index,
@@ -274,11 +274,19 @@ class TestKFoldCV:
     def test_report_roundtrips_through_dict(self):
         data = toy_dataset(n=30)
         rep = kfold_cv(data, tiny_config("ctr-d", epochs=3), k=3)
-        again = FoldReport.from_dict(rep.to_dict())
-        assert again.scores == rep.scores
-        assert again.model == rep.model
-        for a, b in zip(again.predictions, rep.predictions):
+        again = json.loads(json.dumps(rep.to_dict()))
+        assert again == rep.to_dict()
+        assert again["scores"] == rep.scores
+        assert again["model"] == rep.model
+        for a, b in zip(again["predictions"], rep.predictions):
             np.testing.assert_array_equal(a, b)
+
+
+def untimed(report) -> dict:
+    """A report's dict without wall_clock, the one field that varies by run."""
+    out = report.to_dict()
+    del out["wall_clock"]
+    return out
 
 
 class TestParallelJobs:
@@ -292,7 +300,7 @@ class TestParallelJobs:
         serial = cross_validate(data, configs, k=3, seed=2)
         parallel = cross_validate(data, configs, k=3, seed=2, jobs=2)
         for a, b in zip(serial, parallel):
-            assert a.to_dict(include_timing=False) == b.to_dict(include_timing=False)
+            assert untimed(a) == untimed(b)
         assert multiprocessing.active_children() == []
 
     def test_slate_equals_one_kfold_cv_per_config(self):
@@ -301,15 +309,16 @@ class TestParallelJobs:
         slate = cross_validate(data, configs, k=3, seed=1)
         for config, report in zip(configs, slate):
             alone = kfold_cv(data, config, k=3, seed=1)
-            assert report.to_dict(include_timing=False) == alone.to_dict(include_timing=False)
+            assert untimed(report) == untimed(alone)
             assert len(report.wall_clock) == 3
 
-    def test_ties_keep_the_earliest_candidate(self):
+    def test_ties_keep_the_earliest_candidate(self, monkeypatch):
         assert first_best([0.5, 0.7, 0.7, 0.6]) == 1
         data = toy_dataset(n=30)
         # identical candidates score the same: the first must win every fold
-        rep = kfold_cv(data, tiny_config("ctr-d", epochs=3), k=3,
-                       grid=[{"patience": 4}, {"patience": 5}])
+        monkeypatch.setattr(evaluation, "default_grid",
+                            lambda config: [{"patience": 4}, {"patience": 5}])
+        rep = kfold_cv(data, tiny_config("ctr-d", epochs=3), k=3)
         assert rep.chosen == [{"patience": 4}] * 3
 
     def test_default_grid_searches_every_kernel_gamma(self):

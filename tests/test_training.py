@@ -199,6 +199,38 @@ class TestTrainConfig:
         with pytest.raises(ConfigurationError, match=field):
             TrainConfig(model="ctr-d", **{field: value})
 
+    @pytest.mark.parametrize("config_cls, fields", [
+        (TrainConfig, {"model": "ctr-d", "batchnorm": "no"}),
+        (TrainConfig, {"model": "ctr-d", "learning_rate": "fast"}),
+        (TrainConfig, {"model": "ctr-d", "dropout": None}),
+        (TrainConfig, {"model": None}),
+        (SynthConfig, {"seed": 0, "noise_variance": "0.1"}),
+    ], ids=["bool-as-text", "rate-as-text", "null-dropout", "null-model", "synth-text-noise"])
+    def test_field_types_checked_first(self, config_cls, fields):
+        field = list(fields)[-1]
+        with pytest.raises(ConfigurationError, match=f"field '{field}' must be"):
+            config_cls(**fields)
+
+    @pytest.mark.parametrize("config_cls, fields", [
+        (TrainConfig, {"model": "ctr-k", "seed": np.int64(3), "gamma": np.float64(2.0)}),
+        (TrainConfig, {"model": "ctr-d", "epochs": np.int32(4), "dropout": np.float32(0.25)}),
+        (SynthConfig, {"seed": np.int64(3), "noise_variance": np.float64(0.2)}),
+    ], ids=["train-int64-float64", "train-int32-float32", "synth-int64-float64"])
+    def test_numpy_scalars_accepted(self, config_cls, fields):
+        cfg = config_cls(**fields)
+        assert all(getattr(cfg, k) == v for k, v in fields.items())
+
+    @pytest.mark.parametrize("d, error, match", [
+        ([{"model": "ctr-d"}], TypeError, "JSON object"),
+        ({"model": 5, "bogus": 1}, ConfigurationError, "bogus"),
+        ({"model": "ctr-d", "epochs": "ten"}, TypeError, "'epochs'"),
+    ], ids=["not-an-object", "unknown-before-type", "type"])
+    def test_check_config_order(self, d, error, match):
+        with pytest.raises(error, match=match):
+            training.check_config(TrainConfig, d)
+        with pytest.raises(error, match=match):
+            TrainConfig.from_dict(d)
+
     def test_trainable_decay_must_start_below_one(self):
         with pytest.raises(ConfigurationError):
             TrainConfig(model="ctr-d", decay_init=1.0, decay_trainable=True)
