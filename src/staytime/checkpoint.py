@@ -22,7 +22,7 @@ from pathlib import Path
 import numpy as np
 
 from .data_io import atomic_write_bytes
-from .errors import StayTimeError, ValidationError
+from .errors import ConfigurationError, StayTimeError, ValidationError
 from .representation import DecayParameter
 from .states import (
     DiscreteStateFunction,
@@ -108,7 +108,7 @@ def _rebuild(meta: dict, arrays: dict) -> TrainedModel:
     """The model the config describes, with the arrays filled in."""
     try:
         config = TrainConfig.from_dict(meta["config"])
-    except TypeError as exc:  # not a JSON object, or a field of the wrong type
+    except (TypeError, ConfigurationError) as exc:  # not an object, or no valid config
         raise ValidationError(f"checkpoint config is invalid ({exc})") from None
     model = TrainedModel(config, predictor=_net(config.predictor_net, arrays, "f"),
                          **{key: meta[key] for key in RECORD})

@@ -74,22 +74,31 @@ def _out_dir(args) -> Path:
     return Path(os.environ.get(OUT_DIR_ENV, "."))
 
 
-def _merged_options(args, config_cls) -> dict:
-    """Flag values override config-file values, a null among them; keys set
-    by neither are omitted."""
-    fields = {f.name for f in dataclasses.fields(config_cls)}
-    from_file = {}
-    if getattr(args, "config", None):
-        path = Path(args.config)
-        if not path.exists():
-            raise ConfigurationError(f"config file {path} does not exist")
-        try:  # a JSONDecodeError or UnicodeDecodeError is a ValueError
+def _config(args, config_cls, required: dict):
+    """The config the flags and the config file describe: flag values override
+    config-file values, a null among them, and each key of required must be
+    set by one of them. Once a config file is given, whatever is refused is
+    one error naming the file."""
+    fields = [f.name for f in dataclasses.fields(config_cls)]
+    merged = {key: getattr(args, key) for key in fields if getattr(args, key, None) is not None}
+    if getattr(args, "auto_range", None):
+        merged["value_range"] = None
+    path = Path(args.config) if getattr(args, "config", None) else None
+    if path is not None and not path.exists():
+        raise ConfigurationError(f"config file {path} does not exist")
+    try:  # a JSONDecodeError or UnicodeDecodeError is a ValueError
+        if path is not None:
             from_file = json.loads(path.read_text(encoding="utf-8"))
             check_config(config_cls, from_file)
-        except (ValueError, TypeError, ConfigurationError) as exc:
-            raise ConfigurationError(f"config file {path}: {exc}") from None
-    flags = {key: getattr(args, key, None) for key in fields}
-    return {**from_file, **{key: value for key, value in flags.items() if value is not None}}
+            merged = {**from_file, **merged}
+        for key, what in required.items():
+            if key not in merged:
+                raise ConfigurationError(f"{what} is required (--{key} or config file)")
+        return config_cls(**merged)
+    except (ValueError, TypeError, ConfigurationError) as exc:
+        if path is None:
+            raise
+        raise ConfigurationError(f"config file {path}: {exc}") from None
 
 
 def _positive_int(text: str) -> int:
@@ -146,21 +155,11 @@ def _add_train_flags(p: _Parser) -> None:
 
 
 def _train_config(args) -> TrainConfig:
-    merged = _merged_options(args, TrainConfig)
-    if "model" not in merged:
-        raise ConfigurationError("a model kind is required (--model or config file)")
-    if "seed" not in merged:
-        raise ConfigurationError("a seed is required (--seed or config file)")
-    if getattr(args, "auto_range", None):
-        merged["value_range"] = None
-    return TrainConfig(**merged)
+    return _config(args, TrainConfig, {"model": "a model kind", "seed": "a seed"})
 
 
 def _synth_config(args) -> SynthConfig:
-    merged = _merged_options(args, SynthConfig)
-    if "seed" not in merged:
-        raise ConfigurationError("a seed is required (--seed or config file)")
-    return SynthConfig(**merged)
+    return _config(args, SynthConfig, {"seed": "a seed"})
 
 
 def cmd_generate(args) -> int:

@@ -49,7 +49,7 @@ class SynthConfig:
     weight_profile: str = "index"
 
     def __post_init__(self):
-        check_field_types(type(self), vars(self), ConfigurationError)
+        check_field_types(self)
         for name, low in (("seed", 0), ("n_records", 1), ("n_obs", 1), ("n_dims", 1),
                           ("n_states", 1)):
             require_count(name, getattr(self, name), low)

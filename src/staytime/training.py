@@ -10,7 +10,6 @@ from the loss through f's input gradient into the stay-time weights.
 from __future__ import annotations
 
 import dataclasses
-import functools
 import numbers
 import typing
 from dataclasses import dataclass, field, replace
@@ -193,7 +192,7 @@ class TrainConfig:
     normalize_ctr: bool = False
 
     def __post_init__(self):
-        check_field_types(type(self), vars(self), ConfigurationError)
+        check_field_types(self)
         if self.model not in MODEL_KINDS:
             raise ConfigurationError(f"unknown model kind {self.model!r}")
         if self.loss not in LOSS_KINDS:
@@ -283,30 +282,29 @@ def _fits(value, kind) -> bool:
     return isinstance(value, {int: numbers.Integral, float: numbers.Real}.get(kind, kind))
 
 
-_type_hints = functools.cache(typing.get_type_hints)  # configs check their types often
-
-
-def check_field_types(config_cls, values: dict, error=TypeError) -> None:
-    """Raise error naming the first of values, keyed by field names of the
-    config dataclass, whose value fits none of its field's types."""
-    hints = _type_hints(config_cls)
-    for key, value in values.items():
+def check_field_types(config) -> None:
+    """Raise ConfigurationError naming the first field of a config dataclass
+    whose value fits none of its field's types. A numpy scalar that fits
+    becomes the Python number, so that every accepted config can be written
+    as JSON."""
+    hints = typing.get_type_hints(type(config))
+    for key, value in vars(config).items():
         if not any(_fits(value, kind) for kind in typing.get_args(hints[key]) or (hints[key],)):
-            declared = config_cls.__dataclass_fields__[key].type
-            raise error(f"field {key!r} must be {declared}, got {value!r}")
+            declared = config.__dataclass_fields__[key].type
+            raise ConfigurationError(f"field {key!r} must be {declared}, got {value!r}")
+        if isinstance(value, np.generic):
+            object.__setattr__(config, key, value.item())
 
 
 def check_config(config_cls, d) -> None:
-    """Refuse d as the fields of a config dataclass, in this order: unless it
-    is a JSON object (TypeError), if it names an unknown field
-    (ConfigurationError), or if a value fits none of its field's types
-    (TypeError)."""
+    """Refuse d as the fields of a config dataclass unless it is a JSON object
+    (TypeError) naming only known fields (ConfigurationError); the values are
+    the dataclass's own to check."""
     if not isinstance(d, dict):
         raise TypeError(f"a config is a JSON object, got {d!r}")
     unknown = set(d) - {f.name for f in dataclasses.fields(config_cls)}
     if unknown:
         raise ConfigurationError(f"unknown config fields: {sorted(unknown)}")
-    check_field_types(config_cls, d)
 
 
 @dataclass

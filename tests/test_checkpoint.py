@@ -164,7 +164,7 @@ def test_missing_or_misshaped_member_named(tmp_path, model, change, message):
 
 
 @pytest.mark.parametrize("config, message", [
-    ({"model": "ctr-x"}, "unknown model kind 'ctr-x'"),
+    ({"model": "ctr-x"}, r"checkpoint config is invalid \(unknown model kind 'ctr-x'\)"),
     (5, "checkpoint config is invalid"),
     (["model"], "checkpoint config is invalid"),
     ({"model": "ctr-d", "learning_rate": "fast"}, "checkpoint config is invalid"),
