@@ -12,9 +12,7 @@ from .errors import (
 )
 from .sequences import ObservationSequence, SurvivalDataset, SurvivalLabel, as_dataset
 from .states import (
-    DiscreteStateFunction,
     KernelBasisSet,
-    KernelStateFunction,
     NeuralStateFunction,
     SegmentGrid,
     StateFunction,
@@ -60,11 +58,9 @@ __all__ = [
     "ContractError",
     "CtrFeaturizer",
     "DecayParameter",
-    "DiscreteStateFunction",
     "DivergenceError",
     "FoldReport",
     "KernelBasisSet",
-    "KernelStateFunction",
     "Mlp",
     "NeuralStateFunction",
     "ObservationSequence",

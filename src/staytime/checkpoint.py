@@ -24,13 +24,7 @@ import numpy as np
 from .data_io import atomic_write_bytes
 from .errors import ConfigurationError, StayTimeError, ValidationError
 from .representation import DecayParameter
-from .states import (
-    DiscreteStateFunction,
-    KernelBasisSet,
-    KernelStateFunction,
-    NeuralStateFunction,
-    SegmentGrid,
-)
+from .states import KernelBasisSet, NeuralStateFunction, SegmentGrid
 from .training import Standardizer, TrainConfig, TrainedModel
 
 FORMAT_VERSION = 3
@@ -73,9 +67,9 @@ def save_checkpoint(model: TrainedModel, path) -> None:
     if config.model != "static" and config.decay_trainable:
         arrays["decay/raw"] = model.decay.raw
     if config.model == "ctr-d":
-        arrays.update({f"grid/b{d}": b for d, b in enumerate(model.state.grid.boundaries)})
+        arrays.update({f"grid/b{d}": b for d, b in enumerate(model.state.boundaries)})
     elif config.model == "ctr-k":
-        arrays["kernel/bases"] = model.state.basis.bases
+        arrays["kernel/bases"] = model.state.bases
     elif config.model == "ctr-n":
         arrays.update({f"g/{k}": v for k, v in model.state.net.state_arrays().items()})
     for prefix, attr in STANDARDIZERS.items():
@@ -121,11 +115,10 @@ def _rebuild(meta: dict, arrays: dict) -> TrainedModel:
         segments = config.segments if isinstance(config.segments, tuple) else (
             (config.segments,) * n_dims)
         bounds = tuple(_member(arrays, f"grid/b{d}", (n + 1,)) for d, n in enumerate(segments))
-        model.state = DiscreteStateFunction(SegmentGrid(bounds),
-                                            clamp=config.grid_range is None)
+        model.state = SegmentGrid(bounds, clamp=config.grid_range is None)
     elif config.model == "ctr-k":
         bases = _member(arrays, "kernel/bases", (config.n_bases, None))
-        model.state = KernelStateFunction(KernelBasisSet(bases, gamma=config.gamma))
+        model.state = KernelBasisSet(bases, gamma=config.gamma)
     elif config.model == "ctr-n":
         model.state = NeuralStateFunction(_net(config.state_net, arrays, "g"))
     for prefix, attr in STANDARDIZERS.items():

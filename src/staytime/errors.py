@@ -1,4 +1,6 @@
-"""Exception taxonomy shared across the package."""
+"""Exception taxonomy shared across the package, and the size rule every array obeys."""
+
+import numpy as np
 
 
 class StayTimeError(Exception):
@@ -31,3 +33,12 @@ class DivergenceError(StayTimeError):
 
 class WorkerError(StayTimeError):
     """A worker process of a parallel run died before returning its result."""
+
+
+def require_array_fits(what: str, n_values: int) -> None:
+    """Refuse the count what names when its float64 array would pass numpy's
+    own limit on one array, np.iinfo(np.intp).max bytes."""
+    limit = np.iinfo(np.intp).max
+    if n_values * 8 > limit:
+        raise ConfigurationError(
+            f"{what} is {n_values} values, more than a numpy array can hold ({limit} bytes)")

@@ -17,7 +17,7 @@ from .errors import ConfigurationError, ValidationError
 from .evaluation import c_index
 from .representation import compute_ctr_batch
 from .sequences import SurvivalDataset, as_dataset, as_float_array
-from .states import DiscreteStateFunction, KernelStateFunction
+from .states import KernelBasisSet, SegmentGrid
 from .training import TrainConfig, require_count, train_model
 
 
@@ -48,6 +48,10 @@ class ParamsMixin:
         return f"{type(self).__name__}({args})"
 
 
+# TrainConfig's defaults: the one copy of each shared parameter's default
+TRAIN_DEFAULTS = {f.name: f.default for f in dataclasses.fields(TrainConfig)}
+
+
 def _as_labeled_dataset(X, y=None, censored=None) -> SurvivalDataset:
     if isinstance(X, SurvivalDataset) and y is None:
         X.event_times()  # raises when X carries no labels
@@ -65,18 +69,19 @@ class CtrFeaturizer(ParamsMixin):
     fit learns the state function, transform maps records to (N, K) rows.
     """
 
-    DEFAULTS = dict(kind="grid", segments=5, value_range=(-1.0, 1.0), clamp=False,
-                    n_bases=100, gamma=1.0, decay=1.0, normalize=False, random_state=0)
+    DEFAULTS = dict(kind="grid", segments=TRAIN_DEFAULTS["segments"],
+                    value_range=TRAIN_DEFAULTS["value_range"], clamp=False,
+                    n_bases=TRAIN_DEFAULTS["n_bases"], gamma=TRAIN_DEFAULTS["gamma"],
+                    decay=1.0, normalize=False, random_state=0)
 
     def fit(self, X, y=None):
         pooled = as_dataset(X).rows
         if self.kind == "grid":
-            self.state_ = DiscreteStateFunction.fit(pooled, self.segments, self.value_range,
-                                                    self.clamp)
+            self.state_ = SegmentGrid.fit(pooled, self.segments, self.value_range, self.clamp)
         elif self.kind == "kernel":
             require_count("random_state", self.random_state, 0)
-            self.state_ = KernelStateFunction.fit(pooled, self.n_bases, self.gamma,
-                                                  np.random.default_rng(self.random_state))
+            self.state_ = KernelBasisSet.fit(pooled, self.n_bases, self.gamma,
+                                             np.random.default_rng(self.random_state))
         else:
             raise ConfigurationError(f"unknown featurizer kind {self.kind!r}")
         self.n_states_ = self.state_.n_states
@@ -101,7 +106,7 @@ class StayTimeRegressor(ParamsMixin):
     concordance index, so higher is better and 0.5 is chance.
     """
 
-    DEFAULTS = {f.name: f.default for f in dataclasses.fields(TrainConfig)} | {"model": "ctr-d"}
+    DEFAULTS = TRAIN_DEFAULTS | {"model": "ctr-d"}
 
     def _config(self) -> TrainConfig:
         return TrainConfig(**self.get_params())

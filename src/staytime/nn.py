@@ -13,11 +13,12 @@ as one unit.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ConfigurationError, ContractError
+from .errors import ConfigurationError, ContractError, require_array_fits
 
 BN_EPS = 1e-5  # added to the batch-norm variance
 BN_MOMENTUM = 0.1  # weight of each train batch in the running statistics
@@ -99,10 +100,12 @@ class Mlp:
             shapes[f"w{i}"] = (layer_sizes[i], layer_sizes[i + 1])
             shapes[f"b{i}"] = (layer_sizes[i + 1],)
         shapes.update({f"bn{i}_scale": (layer_sizes[i + 1],) for i in hidden})
-        self.n_params = sum(int(np.prod(s)) for s in shapes.values())  # statistics follow
+        self.n_params = sum(math.prod(s) for s in shapes.values())  # statistics follow
         shapes.update({f"bn{i}_{k}": (layer_sizes[i + 1],)
                        for i in hidden for k in ("run_mean", "run_var")})
-        self.flat = np.zeros(sum(int(np.prod(s)) for s in shapes.values()))
+        n_flat = sum(math.prod(s) for s in shapes.values())
+        require_array_fits(f"the parameter vector of layer sizes {layer_sizes}", n_flat)
+        self.flat = np.zeros(n_flat)
         self.flat_params = self.flat[: self.n_params]
         views = self.blocks(self.flat)
         self.weights = [views[f"w{i}"] for i in range(n_layers)]

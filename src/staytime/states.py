@@ -10,24 +10,39 @@ the cumulative representation conserve total stay time.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigurationError, OutOfRangeError, ValidationError
+from .errors import ConfigurationError, OutOfRangeError, ValidationError, require_array_fits
 from .sequences import as_float_array
 
 
+class StateFunction:
+    """Common interface: observation rows in, rows of unit-sum weights out."""
+
+    @property
+    def n_states(self) -> int:
+        raise NotImplementedError
+
+    def weights_matrix(self, X: np.ndarray) -> np.ndarray:
+        raise NotImplementedError
+
+
 @dataclass(frozen=True)
-class SegmentGrid:
+class SegmentGrid(StateFunction):
     """Axis-aligned product grid of half-open segments covering a box.
 
     boundaries holds one ascending array per dimension; dimension d has
     len(boundaries[d]) - 1 segments [b_i, b_{i+1}).  The final segment of each
     dimension is closed at the top so the declared range is fully covered.
+    As a state function (CTR-D) it weighs each observation one-hot by its
+    cell; clamp sends out-of-range values to the nearest edge segment.
     """
 
     boundaries: tuple
+    clamp: bool = False
 
     def __post_init__(self):
         bounds = tuple(as_float_array(b, "grid boundaries", 1) for b in self.boundaries)
@@ -39,6 +54,17 @@ class SegmentGrid:
             if np.any(np.diff(b) <= 0):
                 raise ConfigurationError(f"dimension {d} boundaries must be strictly ascending")
         object.__setattr__(self, "boundaries", bounds)
+        object.__setattr__(self, "clamp", bool(self.clamp))
+
+    @classmethod
+    def fit(cls, rows, segments, value_range=None, clamp: bool = False):
+        """A grid over value_range, or, when it is None, over the ranges of the
+        pooled rows, clamped: unseen records may step outside those ranges."""
+        rows = as_float_array(rows, "pooled observations", 2)
+        if value_range is None:
+            value_range = [(rows[:, j].min(), rows[:, j].max()) for j in range(rows.shape[1])]
+            clamp = True
+        return cls(build_grid(value_range, segments, n_dims=rows.shape[1]).boundaries, clamp)
 
     @property
     def n_dims(self) -> int:
@@ -49,7 +75,7 @@ class SegmentGrid:
         return tuple(b.shape[0] - 1 for b in self.boundaries)
 
     @property
-    def n_cells(self) -> int:
+    def n_states(self) -> int:
         return int(np.prod(self.segments_per_dim))
 
     def centers(self) -> np.ndarray:
@@ -58,7 +84,7 @@ class SegmentGrid:
         grids = np.meshgrid(*mids, indexing="ij")
         return np.stack([g.ravel() for g in grids], axis=-1)
 
-    def locate(self, X: np.ndarray, clamp: bool = False) -> np.ndarray:
+    def locate(self, X: np.ndarray) -> np.ndarray:
         """Flat cell index for each row of X.
 
         Values on an interior boundary belong to the segment to their right;
@@ -73,7 +99,7 @@ class SegmentGrid:
         per_dim = []
         for d, b in enumerate(self.boundaries):
             x = X[:, d]
-            if not clamp and (np.any(x < b[0]) or np.any(x > b[-1])):
+            if not self.clamp and (np.any(x < b[0]) or np.any(x > b[-1])):
                 bad = x[(x < b[0]) | (x > b[-1])][0]
                 raise OutOfRangeError(
                     f"value {bad} outside declared range [{b[0]}, {b[-1]}] in dimension {d}"
@@ -83,12 +109,15 @@ class SegmentGrid:
             per_dim.append(idx)
         return np.ravel_multi_index(per_dim, shape)
 
-    def one_hot(self, X: np.ndarray, clamp: bool = False) -> np.ndarray:
+    def one_hot(self, X: np.ndarray) -> np.ndarray:
         """(M, K) matrix with a single 1.0 per row marking the containing cell."""
-        idx = self.locate(X, clamp=clamp)
-        out = np.zeros((X.shape[0], self.n_cells))
+        idx = self.locate(X)
+        out = np.zeros((X.shape[0], self.n_states))
         out[np.arange(X.shape[0]), idx] = 1.0
         return out
+
+    def weights_matrix(self, X: np.ndarray) -> np.ndarray:
+        return self.one_hot(X)  # a call, not an alias: one_hot may be swapped on the class
 
 
 def build_grid(value_range, segments, n_dims: int | None = None) -> SegmentGrid:
@@ -111,6 +140,7 @@ def build_grid(value_range, segments, n_dims: int | None = None) -> SegmentGrid:
         counts = [int(s) for s in segments]
     if len(counts) != len(ranges):
         raise ConfigurationError("ranges and segment counts disagree on dimension count")
+    require_array_fits(f"the cell count of segments {counts}", math.prod(counts))
     bounds = []
     for (lo, hi), c in zip(ranges, counts):
         if c < 1:
@@ -122,8 +152,9 @@ def build_grid(value_range, segments, n_dims: int | None = None) -> SegmentGrid:
 
 
 @dataclass(frozen=True)
-class KernelBasisSet:
-    """Fixed radial-basis points with a shared bandwidth gamma > 0."""
+class KernelBasisSet(StateFunction):
+    """Fixed radial-basis points with a shared bandwidth gamma > 0; as a state
+    function (CTR-K) it weighs each observation by its normalized kernel."""
 
     bases: np.ndarray
     gamma: float
@@ -138,8 +169,13 @@ class KernelBasisSet:
         object.__setattr__(self, "bases", bases)
         object.__setattr__(self, "gamma", gamma)
 
+    @classmethod
+    def fit(cls, rows, n_bases: int, gamma: float, rng):
+        """Bandwidth gamma around n_bases points drawn from the pooled rows."""
+        return cls(sample_bases(rows, n_bases, rng), gamma=gamma)
+
     @property
-    def n_bases(self) -> int:
+    def n_states(self) -> int:
         return self.bases.shape[0]
 
     def weights(self, X: np.ndarray) -> np.ndarray:
@@ -150,7 +186,7 @@ class KernelBasisSet:
                 f"observations have {X.shape[1]} dims, bases have {self.bases.shape[1]}"
             )
         # one dimension at a time into the M x K logits, so no M x K x D array
-        logits = np.zeros((X.shape[0], self.n_bases))
+        logits = np.zeros((X.shape[0], self.n_states))
         sq = np.empty_like(logits)
         for x, b in zip(X.T, self.bases.T):
             logits += np.square(np.subtract(x[:, None], b, out=sq), out=sq)
@@ -159,6 +195,9 @@ class KernelBasisSet:
         w = np.exp(logits, out=logits)
         w /= w.sum(axis=1, keepdims=True)
         return w
+
+    def weights_matrix(self, X: np.ndarray) -> np.ndarray:
+        return self.weights(X)  # a call, not an alias: weights may be swapped on the class
 
 
 def sample_bases(rows: np.ndarray, k: int, rng) -> np.ndarray:
@@ -174,61 +213,6 @@ def sample_bases(rows: np.ndarray, k: int, rng) -> np.ndarray:
         raise ValidationError(f"cannot draw {k} bases from {rows.shape[0]} pooled rows")
     idx = rng.choice(rows.shape[0], size=k, replace=False)
     return rows[idx].copy()
-
-
-class StateFunction:
-    """Common interface: observation rows in, rows of unit-sum weights out."""
-
-    @property
-    def n_states(self) -> int:
-        raise NotImplementedError
-
-    def weights_matrix(self, X: np.ndarray) -> np.ndarray:
-        raise NotImplementedError
-
-
-class DiscreteStateFunction(StateFunction):
-    """One-hot cell membership on a segment grid."""
-
-    def __init__(self, grid: SegmentGrid, clamp: bool = False):
-        self.grid = grid
-        self.clamp = bool(clamp)
-
-    @classmethod
-    def fit(cls, rows, segments, value_range=None, clamp: bool = False):
-        """A grid over value_range, or, when it is None, over the ranges of the
-        pooled rows, clamped: unseen records may step outside those ranges."""
-        rows = as_float_array(rows, "pooled observations", 2)
-        if value_range is None:
-            ranges = [(rows[:, j].min(), rows[:, j].max()) for j in range(rows.shape[1])]
-            return cls(build_grid(ranges, segments), clamp=True)
-        return cls(build_grid(value_range, segments, n_dims=rows.shape[1]), clamp=clamp)
-
-    @property
-    def n_states(self) -> int:
-        return self.grid.n_cells
-
-    def weights_matrix(self, X: np.ndarray) -> np.ndarray:
-        return self.grid.one_hot(X, clamp=self.clamp)
-
-
-class KernelStateFunction(StateFunction):
-    """Normalized radial-basis weights on fixed basis points."""
-
-    def __init__(self, basis: KernelBasisSet):
-        self.basis = basis
-
-    @classmethod
-    def fit(cls, rows, n_bases: int, gamma: float, rng):
-        """Bandwidth gamma around n_bases points drawn from the pooled rows."""
-        return cls(KernelBasisSet(sample_bases(rows, n_bases, rng), gamma=gamma))
-
-    @property
-    def n_states(self) -> int:
-        return self.basis.n_bases
-
-    def weights_matrix(self, X: np.ndarray) -> np.ndarray:
-        return self.basis.weights(X)
 
 
 class NeuralStateFunction(StateFunction):

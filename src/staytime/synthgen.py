@@ -15,10 +15,10 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .errors import ConfigurationError
+from .errors import ConfigurationError, require_array_fits
 from .representation import compute_ctr_batch
 from .sequences import SurvivalDataset
-from .states import DiscreteStateFunction, SegmentGrid, build_grid
+from .states import SegmentGrid, build_grid
 from .training import check_field_types, require_count
 
 WEIGHT_PROFILES = ("coordinate", "index")
@@ -28,7 +28,8 @@ BLOCK_RECORDS = 256
 def integer_root(k: int, d: int) -> int:
     """The integer d-th root of k, or an error if k is not a perfect power."""
     root = round(k ** (1.0 / d))
-    for candidate in (root - 1, root, root + 1):
+    # from d >= k.bit_length() on, 2**d > k: only 1 can be the root, and 2**d is never built
+    for candidate in (1,) if d >= k.bit_length() else (root - 1, root, root + 1):
         if candidate >= 1 and candidate**d == k:
             return candidate
     raise ConfigurationError(f"{k} states cannot tile {d} dimensions evenly")
@@ -53,6 +54,9 @@ class SynthConfig:
         for name, low in (("seed", 0), ("n_records", 1), ("n_obs", 1), ("n_dims", 1),
                           ("n_states", 1)):
             require_count(name, getattr(self, name), low)
+        require_array_fits("n_records x n_obs x n_dims",
+                           self.n_records * self.n_obs * self.n_dims)
+        require_array_fits("n_states", self.n_states)
         if not 0 <= self.noise_variance < np.inf:
             raise ConfigurationError(
                 f"noise_variance must be a nonnegative finite number, got {self.noise_variance!r}")
@@ -108,7 +112,6 @@ def generate(config: SynthConfig) -> SynthDataset:
     """Draw a dataset; one derived random stream per record, so any prefix of
     the records is independent of how many more were requested."""
     grid = build_grid((-1.0, 1.0), config.segments_per_dim, n_dims=config.n_dims)
-    state = DiscreteStateFunction(grid)
     w = lattice_weights(grid, config.weight_width, config.weight_profile)
     noise_scale = float(np.sqrt(config.noise_variance))
 
@@ -135,7 +138,7 @@ def generate(config: SynthConfig) -> SynthDataset:
         records = SurvivalDataset._from_columns(
             rows=rows[block], timestamps=timestamps[block], offsets=offsets[lo : hi + 1] - lo * m,
             record_ids=record_ids[lo:hi], durations=durations[block])
-        for i, (rng, z) in enumerate(zip(rngs, compute_ctr_batch(records, state)), start=lo):
+        for i, (rng, z) in enumerate(zip(rngs, compute_ctr_batch(records, grid)), start=lo):
             # each record's stream continues where its observations left off
             target = float(w @ z)
             y = target + noise_scale * rng.standard_normal()

@@ -24,7 +24,7 @@ from .errors import (
 from .nn import AdamState, Mlp, Workspace, adam_step, grad_check, log_sigmoid
 from .representation import DecayParameter, PackedRecords, segment_ctr, sigmoid, stay_time_matrix
 from .sequences import SurvivalDataset, as_dataset
-from .states import DiscreteStateFunction, KernelStateFunction, NeuralStateFunction, StateFunction
+from .states import KernelBasisSet, NeuralStateFunction, SegmentGrid, StateFunction
 
 MODEL_KINDS = ("ctr-d", "ctr-k", "ctr-n", "static")
 LOSS_KINDS = ("squared", "combined")
@@ -431,10 +431,9 @@ class _Components:
             model.decay = DecayParameter(config.decay_init, trainable=config.decay_trainable)
             train_rows = base.take(train_idx).rows
             if config.model == "ctr-d":
-                model.state = DiscreteStateFunction.fit(train_rows, config.segments,
-                                                        config.grid_range)
+                model.state = SegmentGrid.fit(train_rows, config.segments, config.grid_range)
             elif config.model == "ctr-k":
-                model.state = KernelStateFunction.fit(
+                model.state = KernelBasisSet.fit(
                     train_rows, config.n_bases, config.gamma, rng_bases)
             else:
                 self.gnet = config.state_net(dataset.n_features, rng_ginit)

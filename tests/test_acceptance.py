@@ -28,9 +28,7 @@ from staytime.reports import period_csv, render_period_chart
 from staytime.representation import compute_ctr, stay_times
 from staytime.sequences import ObservationSequence
 from staytime.states import (
-    DiscreteStateFunction,
     KernelBasisSet,
-    KernelStateFunction,
     NeuralStateFunction,
     build_grid,
 )
@@ -104,7 +102,7 @@ def test_criterion_02_signal_ceiling():
     cfg = SynthConfig(seed=0, n_records=1000, n_obs=10, n_states=25)
     synth = generate(cfg)
     data = synth.dataset
-    state = DiscreteStateFunction(synth.grid)
+    state = synth.grid
     Z = np.stack([compute_ctr(s, state) for s in data.sequences])
     X = np.concatenate([Z, np.ones((len(Z), 1))], axis=1)
     y = data.event_times()
@@ -158,10 +156,8 @@ def test_criterion_03_gradient_correctness():
 
 def test_criterion_04_mass_conservation():
     rng = np.random.default_rng(44)
-    grid_state = DiscreteStateFunction(build_grid((-1.0, 1.0), 4, n_dims=3))
-    kernel_state = KernelStateFunction(
-        KernelBasisSet(rng.uniform(-1.0, 1.0, size=(30, 3)), gamma=3.0)
-    )
+    grid_state = build_grid((-1.0, 1.0), 4, n_dims=3)
+    kernel_state = KernelBasisSet(rng.uniform(-1.0, 1.0, size=(30, 3)), gamma=3.0)
     neural = NeuralStateFunction(
         Mlp([3, 12, 20], out_activation="softmax", dropout=0.0, rng=7)
     )
@@ -288,7 +284,7 @@ def test_criterion_09_representation_properties():
 
     # duration scaling: z is linear in the stay times (power-of-two factor
     # keeps float scaling exact; an odd factor gets a tight tolerance)
-    state = DiscreteStateFunction(build_grid((-1.0, 1.0), 4, n_dims=3))
+    state = build_grid((-1.0, 1.0), 4, n_dims=3)
     for _ in range(50):
         m = int(rng.integers(1, 10))
         obs = rng.uniform(-1.0, 1.0, size=(m, 3))
@@ -306,7 +302,7 @@ def test_criterion_09_representation_properties():
         net = Mlp([d, 16, 100], out_activation="softmax", dropout=0.0, rng=int(d))
         z_n = compute_ctr(seq, NeuralStateFunction(net))
         bases = KernelBasisSet(rng.uniform(-1.0, 1.0, size=(100, d)), gamma=2.0)
-        z_k = compute_ctr(seq, KernelStateFunction(bases))
+        z_k = compute_ctr(seq, bases)
         assert z_n.shape == (100,) and z_k.shape == (100,)
 
     # with no decay the accumulation is order-free

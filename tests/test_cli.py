@@ -17,7 +17,7 @@ from staytime.checkpoint import load_checkpoint
 from staytime.cli import main
 from staytime.data_io import read_dataset, write_dataset
 from staytime.representation import compute_ctr
-from staytime.states import DiscreteStateFunction, build_grid
+from staytime.states import build_grid
 from staytime.training import TrainConfig
 
 from test_acceptance import STABLE_ARTIFACTS
@@ -199,7 +199,7 @@ class TestFeaturize:
         assert lines[0].split(",")[:2] == ["record_id", "z0"]
         assert len(lines) == 51
         data = read_dataset(data_dir)
-        state = DiscreteStateFunction(build_grid((-1.0, 1.0), 5, n_dims=2))
+        state = build_grid((-1.0, 1.0), 5, n_dims=2)
         first = lines[1].split(",")
         assert first[0] == data.sequences[0].record_id
         expect = compute_ctr(data.sequences[0], state)
@@ -643,6 +643,38 @@ class TestRefusedCommandsWriteNothing:
         assert (code, stdout) == (1, "")
         assert one_error_line(stderr)["error"] == error
         assert snapshot(tmp_path) == before
+
+
+HUGE = str(10**20)
+
+
+class TestCountsNoArrayHolds:
+    """A count whose array would pass numpy's size limit is refused where it
+    is first known: one ConfigurationError line naming it, exit 1, nothing
+    written, and no hang on the way."""
+
+    @pytest.mark.parametrize("argv, named", [
+        (("generate", "--seed", "0", "--n-records", HUGE), "n_records x n_obs x n_dims"),
+        (("generate", "--seed", "0", "--n-records", "3", "--n-states", "1", "--n-dims", HUGE),
+         "n_records x n_obs x n_dims"),
+        (("generate", "--seed", "0", "--n-dims", HUGE), "n_records x n_obs x n_dims"),
+        (("train", "--data", "{data}", "--seed", "0", "--model", "ctr-n", "--n-states", HUGE),
+         "parameter vector"),
+        (("train", "--data", "{data}", "--seed", "0", "--model", "ctr-n", "--f-hidden", HUGE),
+         "parameter vector"),
+        (("train", "--data", "{data}", "--seed", "0", "--model", "ctr-d", "--segments", HUGE),
+         "cell count"),
+    ], ids=["n-records", "n-dims-one-state", "n-dims", "n-states", "f-hidden", "segments"])
+    def test_refused_in_time(self, tmp_path, data_dir, argv, named):
+        env = dict(os.environ, PYTHONPATH=str(Path(staytime.__file__).parents[1]))
+        done = subprocess.run(
+            [sys.executable, "-m", "staytime.cli", *(a.format(data=data_dir) for a in argv),
+             "--out", str(tmp_path / "o")], env=env, capture_output=True, text=True, timeout=30)
+        assert (done.returncode, done.stdout) == (1, "")
+        err = one_error_line(done.stderr)
+        assert err["error"] == "ConfigurationError"
+        assert named in err["message"]
+        assert not (tmp_path / "o").exists()
 
 
 def _array_memory_error():

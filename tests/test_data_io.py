@@ -15,7 +15,6 @@ from staytime.data_io import (
     write_truth,
 )
 from staytime.representation import compute_ctr
-from staytime.states import DiscreteStateFunction
 from staytime.synthgen import SynthConfig, generate
 
 
@@ -310,7 +309,7 @@ class TestTruthSidecar:
         write_truth(out, tmp_path)
         truth = read_truth(tmp_path)
         data = read_dataset(tmp_path)
-        state = DiscreteStateFunction(truth["grid"])
+        state = truth["grid"]
         for seq in data.sequences:
             z = compute_ctr(seq, state, decay=1.0)
             stored = truth["noise_free"][seq.record_id]

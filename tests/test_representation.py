@@ -6,9 +6,7 @@ import pytest
 from staytime import (
     ConfigurationError,
     DecayParameter,
-    DiscreteStateFunction,
     KernelBasisSet,
-    KernelStateFunction,
     Mlp,
     NeuralStateFunction,
     ObservationSequence,
@@ -147,7 +145,7 @@ class TestComputeCtr:
         rng = np.random.default_rng(11)
         grid = build_grid((-1, 1), 5, n_dims=2)
         basis = KernelBasisSet(rng.uniform(-1, 1, size=(7, 2)), gamma=2.0)
-        states = [DiscreteStateFunction(grid), KernelStateFunction(basis)]
+        states = [grid, basis]
         for _ in range(25):
             seq = random_override_seq(rng)
             decay = float(rng.uniform(0.3, 1.0))
@@ -168,7 +166,7 @@ class TestComputeCtr:
             seq = random_override_seq(rng, n_dims=3)
             decay = float(rng.uniform(0.2, 1.0))
             total = stay_times(seq, decay).sum()
-            for state in (DiscreteStateFunction(grid), KernelStateFunction(basis)):
+            for state in (grid, basis):
                 z = compute_ctr(seq, state, decay)
                 assert abs(z.sum() - total) <= 1e-9 * total
 
@@ -176,13 +174,13 @@ class TestComputeCtr:
         rng = np.random.default_rng(13)
         grid = build_grid((-1, 1), 4, n_dims=2)
         seq = random_override_seq(rng)
-        z = compute_ctr(seq, DiscreteStateFunction(grid), 0.8, normalize=True)
+        z = compute_ctr(seq, grid, 0.8, normalize=True)
         assert z.sum() == pytest.approx(1.0, abs=1e-12)
 
     def test_permutation_invariance_without_decay(self):
         rng = np.random.default_rng(14)
         grid = build_grid((-1, 1), 5, n_dims=2)
-        state = DiscreteStateFunction(grid)
+        state = grid
         for _ in range(50):
             seq = random_override_seq(rng, m=int(rng.integers(2, 12)))
             perm = rng.permutation(seq.n_observations)
@@ -200,7 +198,7 @@ class TestComputeCtr:
         # power-of-two scales commute with float rounding, so demand exactness there
         rng = np.random.default_rng(15)
         grid = build_grid((-1, 1), 5, n_dims=2)
-        state = DiscreteStateFunction(grid)
+        state = grid
         for _ in range(30):
             seq = random_override_seq(rng)
             scaled = ObservationSequence(seq.observations, durations=4.0 * seq.durations)
@@ -220,7 +218,7 @@ class TestComputeCtr:
         # so the vector stays linear in the override durations
         rng = np.random.default_rng(16)
         grid = build_grid((-1, 1), 5, n_dims=2)
-        state = DiscreteStateFunction(grid)
+        state = grid
         times = np.cumsum(rng.uniform(0.1, 1.0, size=6))
         obs = rng.uniform(-1, 1, size=(6, 2))
         dur = rng.uniform(0.05, 1.0, size=6)
@@ -231,7 +229,7 @@ class TestComputeCtr:
     def test_interval_sensitivity_with_identical_observations(self):
         # all observations identical: doubling one gap adds exactly that gap's mass
         grid = build_grid((-1, 1), 4, n_dims=2)
-        state = DiscreteStateFunction(grid)
+        state = grid
         x = np.tile([[0.3, -0.2]], (4, 1))
         dur = np.array([0.5, 1.0, 0.25, 0.75])
         base = compute_ctr(ObservationSequence(x, durations=dur), state, 1.0)
@@ -245,7 +243,7 @@ class TestComputeCtr:
         rng = np.random.default_rng(17)
         for n_dims in (2, 26, 37):
             basis = KernelBasisSet(rng.uniform(-1, 1, size=(100, n_dims)), gamma=1.0)
-            state = KernelStateFunction(basis)
+            state = basis
             for m in (1, 5, 40):
                 seq = random_override_seq(rng, m=m, n_dims=n_dims)
                 assert compute_ctr(seq, state).shape == (100,)
@@ -253,7 +251,7 @@ class TestComputeCtr:
     def test_batch_helper_stacks_rows(self):
         rng = np.random.default_rng(18)
         grid = build_grid((-1, 1), 4, n_dims=2)
-        state = DiscreteStateFunction(grid)
+        state = grid
         seqs = [random_override_seq(rng) for _ in range(5)]
         batch = compute_ctr_batch(seqs, state, 0.9)
         assert batch.shape == (5, 16)
@@ -284,8 +282,7 @@ class TestPackedKernel:
         grid = build_grid((-1, 1), 4, n_dims=2)
         basis = KernelBasisSet(rng.uniform(-1, 1, size=(20, 2)), gamma=1.5)
         net = Mlp([2, 64, 64, 25], out_activation="softmax", rng=3)
-        return [DiscreteStateFunction(grid), KernelStateFunction(basis),
-                NeuralStateFunction(net)]
+        return [grid, basis, NeuralStateFunction(net)]
 
     def test_records_straddle_every_chunk_boundary(self):
         seqs = chunk_spanning_records(np.random.default_rng(20))
@@ -324,7 +321,7 @@ class TestPackedKernel:
     def test_take_equals_per_record_concatenation(self):
         rng = np.random.default_rng(23)
         seqs = chunk_spanning_records(rng)
-        grid_state = DiscreteStateFunction(build_grid((-1, 1), 3, n_dims=2))
+        grid_state = build_grid((-1, 1), 3, n_dims=2)
         packed = PackedRecords.pack(seqs).with_weights(grid_state)
         for idx in ([5], [3, 3, 0], rng.permutation(len(seqs))[:64], np.arange(len(seqs))):
             batch = packed.take(idx)
@@ -354,7 +351,7 @@ class TestPackedKernel:
 
     def test_bad_decay_rejected(self):
         seq = seq_from_times([1.0, 2.0])
-        state = DiscreteStateFunction(build_grid((-1, 1), 2, n_dims=1))
+        state = build_grid((-1, 1), 2, n_dims=1)
         for bad in (0.0, 1.5, np.nan):
             with pytest.raises(ConfigurationError):
                 compute_ctr_batch([seq], state, bad)

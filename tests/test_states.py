@@ -5,22 +5,26 @@ import pytest
 
 from staytime import (
     ConfigurationError,
-    DiscreteStateFunction,
+    CtrFeaturizer,
     KernelBasisSet,
-    KernelStateFunction,
     Mlp,
     NeuralStateFunction,
     OutOfRangeError,
     SegmentGrid,
+    SynthConfig,
     ValidationError,
     build_grid,
+    generate,
     sample_bases,
 )
 
+import staytime.cli  # noqa: F401  the tracer wraps every module, and the CLI imports them all
+from test_tracing_targets import TRACING_MODULE
 
-def discrete_state(x, grid: SegmentGrid, clamp: bool = False) -> np.ndarray:
+
+def discrete_state(x, grid: SegmentGrid) -> np.ndarray:
     """One-hot weight vector for a single observation."""
-    return grid.one_hot(np.asarray(x, dtype=float)[None, :], clamp=clamp)[0]
+    return grid.one_hot(np.asarray(x, dtype=float)[None, :])[0]
 
 
 def kernel_state(x, basis: KernelBasisSet) -> np.ndarray:
@@ -47,8 +51,8 @@ class TestSegmentGrid:
         assert grid.locate(np.array([[1.0]]))[0] == 3
 
     def test_cell_count_is_product(self):
-        assert build_grid((-1, 1), 4, n_dims=3).n_cells == 64
-        assert SegmentGrid((np.array([-1.0, 0.0, 1.0]),) * 2).n_cells == 4
+        assert build_grid((-1, 1), 4, n_dims=3).n_states == 64
+        assert SegmentGrid((np.array([-1.0, 0.0, 1.0]),) * 2).n_states == 4
 
     def test_centers(self):
         grid = SegmentGrid((np.array([-1.0, 0.0, 1.0]),) * 2)
@@ -58,15 +62,16 @@ class TestSegmentGrid:
 
     def test_single_cell_grid(self):
         grid = SegmentGrid((np.array([0.0, 1.0]),))
-        assert grid.n_cells == 1
+        assert grid.n_states == 1
         np.testing.assert_array_equal(grid.one_hot(np.array([[0.4]])), [[1.0]])
 
     def test_out_of_range_raises_unless_clamped(self):
         grid = build_grid((-1, 1), 4, n_dims=1)
         with pytest.raises(OutOfRangeError):
             grid.locate(np.array([[1.5]]))
-        assert grid.locate(np.array([[1.5]]), clamp=True)[0] == 3
-        assert grid.locate(np.array([[-9.0]]), clamp=True)[0] == 0
+        clamped = SegmentGrid(grid.boundaries, clamp=True)
+        assert clamped.locate(np.array([[1.5]]))[0] == 3
+        assert clamped.locate(np.array([[-9.0]]))[0] == 0
 
     def test_one_hot_rows(self):
         rng = np.random.default_rng(0)
@@ -232,8 +237,8 @@ class TestStateFunctions:
         grid = build_grid((-1, 1), 3, n_dims=2)
         basis = KernelBasisSet(np.zeros((7, 2)), gamma=1.0)
         net = Mlp([2, 4, 11], out_activation="softmax")
-        assert DiscreteStateFunction(grid).n_states == 9
-        assert KernelStateFunction(basis).n_states == 7
+        assert grid.n_states == 9
+        assert basis.n_states == 7
         assert NeuralStateFunction(net).n_states == 11
 
 
@@ -243,22 +248,40 @@ class TestFit:
     def test_grid_over_a_declared_range(self):
         rows = np.random.default_rng(3).uniform(-1, 1, size=(40, 2))
         for clamp in (False, True):
-            state = DiscreteStateFunction.fit(rows, 4, (-2.0, 2.0), clamp=clamp)
+            state = SegmentGrid.fit(rows, 4, (-2.0, 2.0), clamp=clamp)
             assert state.clamp is clamp
-            for b in state.grid.boundaries:
+            for b in state.boundaries:
                 np.testing.assert_array_equal(b, np.linspace(-2.0, 2.0, 5))
 
     def test_grid_over_the_data_ranges_is_clamped(self):
         rows = np.column_stack([np.linspace(-3, 5, 9), np.linspace(0, 1, 9)])
-        state = DiscreteStateFunction.fit(rows, (2, 3))
+        state = SegmentGrid.fit(rows, (2, 3))
         assert state.clamp
-        np.testing.assert_array_equal(state.grid.boundaries[0], [-3.0, 1.0, 5.0])
-        np.testing.assert_array_equal(state.grid.boundaries[1], np.linspace(0, 1, 4))
+        np.testing.assert_array_equal(state.boundaries[0], [-3.0, 1.0, 5.0])
+        np.testing.assert_array_equal(state.boundaries[1], np.linspace(0, 1, 4))
         assert state.weights_matrix(np.array([[9.0, -1.0]])).argmax() == 3  # cell (1, 0)
 
     def test_kernel_bases_are_sampled_rows(self):
         pool = np.random.default_rng(6).normal(size=(30, 2))
-        state = KernelStateFunction.fit(pool, 8, 0.5, np.random.default_rng(42))
-        assert state.basis.gamma == 0.5
+        state = KernelBasisSet.fit(pool, 8, 0.5, np.random.default_rng(42))
+        assert state.gamma == 0.5
         np.testing.assert_array_equal(
-            state.basis.bases, sample_bases(pool, 8, np.random.default_rng(42)))
+            state.bases, sample_bases(pool, 8, np.random.default_rng(42)))
+
+
+def test_benchmark_tracer_sees_the_state_kernels():
+    # the benchmark tracer swaps SegmentGrid.one_hot and KernelBasisSet.weights
+    # on their classes; a weights_matrix that aliased either would keep the
+    # unwrapped method, and its counter would silently read 0
+    data = generate(SynthConfig(seed=0, n_records=20)).dataset
+    tracer = TRACING_MODULE.Tracer()
+    tracer.install()
+    try:
+        tracer.phase = "round"
+        CtrFeaturizer(kind="grid").fit_transform(data)
+        CtrFeaturizer(kind="kernel", n_bases=10).fit_transform(data)
+    finally:
+        tracer.uninstall()
+    metrics = tracer.metrics(overhead_s=0.0)
+    assert metrics["states.one_hot_s"]["value"] > 0
+    assert metrics["states.kernel_weights_s"]["value"] > 0

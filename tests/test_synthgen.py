@@ -5,7 +5,6 @@ import pytest
 
 from staytime import ConfigurationError, ValidationError
 from staytime.representation import compute_ctr
-from staytime.states import DiscreteStateFunction
 from staytime.synthgen import (
     SynthConfig,
     generate,
@@ -27,6 +26,12 @@ class TestIntegerRoot:
             integer_root(24, 2)
         with pytest.raises(ConfigurationError):
             integer_root(50, 2)
+
+    def test_huge_dimension_needs_no_huge_power(self):
+        # 2**d alone would take forever to build; only 1 can tile so many dims
+        assert integer_root(1, 10**20) == 1
+        with pytest.raises(ConfigurationError):
+            integer_root(25, 10**20)
 
 
 class TestSynthConfig:
@@ -128,7 +133,7 @@ class TestGenerate:
 
     def test_targets_are_weights_dot_truth_plus_noise(self):
         out = generate(SynthConfig(seed=1, n_records=30))
-        state = DiscreteStateFunction(out.grid)
+        state = out.grid
         for seq, lab, clean in zip(
             out.dataset.sequences, out.dataset.labels, out.noise_free
         ):
