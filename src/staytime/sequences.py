@@ -11,6 +11,8 @@ and builds the per-record forms back only on request.
 from __future__ import annotations
 
 import copy
+import operator
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -185,6 +187,25 @@ def gather_rows(offsets, indices):
     return new, np.arange(new[-1]) + np.repeat(offsets[indices] - new[:-1], counts)
 
 
+class RecordView(Sequence):
+    """A read-only sequence of n records whose item i is build(i), made each
+    time it is read and kept by nobody but the caller.  A slice is a list."""
+
+    def __init__(self, n: int, build):
+        self._n, self._build = n, build
+
+    def __len__(self) -> int:
+        return self._n
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return [self._build(j) for j in range(*i.indices(self._n))]
+        i = operator.index(i)
+        if not -self._n <= i < self._n:
+            raise IndexError(f"record index {i} out of range for {self._n} records")
+        return self._build(i % self._n)
+
+
 class SurvivalDataset:
     """Records with optional aligned survival labels, stored as flat columns.
 
@@ -254,12 +275,11 @@ class SurvivalDataset:
         self.rows, self.timestamps, self.gaps, self.offsets = rows, timestamps, gaps, offsets
         self.has_durations, self.demographics = has_durations, demographics
         self.record_ids = record_ids
-        self._sequences = None
 
     def _set_labels(self, event_times, censored=None):
         """Validate and store the label columns (none when event_times is
         None); censored defaults to all False."""
-        self._event_times = self._censored = self._labels = None
+        self._event_times = self._censored = None
         if event_times is None:
             return
         event_times = np.asarray(event_times, dtype=float)
@@ -292,28 +312,27 @@ class SurvivalDataset:
         return self.demographics.shape[1]
 
     @property
-    def sequences(self) -> list[ObservationSequence]:
+    def sequences(self) -> RecordView:
         """The records as ObservationSequence objects over views of the
-        columns, built on first access without validating them again."""
-        if self._sequences is None:
-            bounds = zip(self.offsets[:-1].tolist(), self.offsets[1:].tolist())
-            dems = self.demographics if self.n_demographics else [None] * len(self)
-            self._sequences = [
-                _trusted(ObservationSequence, observations=self.rows[a:b],
-                         timestamps=self.timestamps[a:b], _gaps=(gaps := self.gaps[a:b]),
-                         durations=gaps if given else None, demographics=dem, record_id=rid)
-                for (a, b), given, dem, rid in zip(bounds, self.has_durations.tolist(), dems,
-                                                   self.record_ids.tolist())
-            ]
-        return self._sequences
+        columns, each built when it is read, without validating it again."""
+        return RecordView(len(self), self._sequence)
 
     @property
-    def labels(self) -> list[SurvivalLabel] | None:
-        """The labels as SurvivalLabel objects, built on first access."""
-        if self._labels is None and self._event_times is not None:
-            self._labels = [_trusted(SurvivalLabel, event_time=t, censored=c)
-                            for t, c in zip(self._event_times.tolist(), self._censored.tolist())]
-        return self._labels
+    def labels(self) -> RecordView | None:
+        """The labels as SurvivalLabel objects, each built when it is read."""
+        return None if self._event_times is None else RecordView(len(self), self._label)
+
+    def _sequence(self, i: int) -> ObservationSequence:
+        a, b = self.offsets[i:i + 2].tolist()
+        gaps = self.gaps[a:b]
+        return _trusted(ObservationSequence, observations=self.rows[a:b], _gaps=gaps,
+                        timestamps=self.timestamps[a:b], record_id=self.record_ids[i],
+                        durations=gaps if self.has_durations[i] else None,
+                        demographics=self.demographics[i] if self.n_demographics else None)
+
+    def _label(self, i: int) -> SurvivalLabel:
+        return _trusted(SurvivalLabel, event_time=float(self._event_times[i]),
+                        censored=bool(self._censored[i]))
 
     def _label_columns(self):
         if self._event_times is None:

@@ -130,6 +130,7 @@ def build_grid(value_range, segments, n_dims: int | None = None) -> SegmentGrid:
     if np.isscalar(value_range[0]):
         if n_dims is None:
             n_dims = len(segments) if not np.isscalar(segments) else 1
+        require_array_fits(f"the boundary count of {n_dims} dimensions", 2 * n_dims)
         ranges = [tuple(value_range)] * n_dims
     else:
         ranges = [tuple(r) for r in value_range]

@@ -111,11 +111,13 @@ def static_features_batch(records) -> np.ndarray:
     data = as_dataset(records)
     pooled = np.column_stack([data.rows, data.gaps])
     feats = np.empty((len(data), pooled.shape[1], 2 + len(STATIC_QUANTILES)))
-    for i, (a, b) in enumerate(zip(data.offsets[:-1], data.offsets[1:])):
-        cols = pooled[a:b]
-        feats[i, :, 0] = cols.mean(axis=0)
-        feats[i, :, 1] = cols.std(axis=0)
-        feats[i, :, 2:] = np.quantile(cols, STATIC_QUANTILES, axis=0).T
+    counts = np.diff(data.offsets)
+    for m in np.unique(counts):  # the records of m observations, as one (n_m, m, D+1) stack
+        idx = np.flatnonzero(counts == m)
+        stack = pooled[data.offsets[idx, None] + np.arange(m)]
+        feats[idx, :, 0] = stack.mean(axis=1)
+        feats[idx, :, 1] = stack.std(axis=1)
+        feats[idx, :, 2:] = np.moveaxis(np.quantile(stack, STATIC_QUANTILES, axis=1), 0, -1)
     return feats.reshape(len(data), -1)
 
 

@@ -1,6 +1,9 @@
 """Dataset files: round trips, validation messages, forward fill, truth sidecar."""
 
+import gc
+import pickle
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
@@ -156,6 +159,49 @@ class TestMemory:
         read = self.peak_mib(lambda: read_dataset(tmp_path))
         assert write < self.WRITE_PEAK_MIB, f"write_dataset peaked at {write:.1f} MiB"
         assert read < self.READ_PEAK_MIB, f"read_dataset peaked at {read:.1f} MiB"
+
+
+class TestRecordViews:
+    """dataset.sequences and dataset.labels build each record when it is read
+    and keep none of them."""
+
+    def test_records_are_freed_with_their_reader(self):
+        data = build_dataset(with_demographics=True)
+        seq, lab = data.sequences[0], data.labels[0]
+        refs = [weakref.ref(seq), weakref.ref(lab)]
+        del seq, lab
+        gc.collect()
+        assert [ref() for ref in refs] == [None, None]
+
+    def test_reading_leaves_the_pickle_unchanged(self):
+        data = build_dataset(with_demographics=True)
+        before = pickle.dumps(data)
+        assert len(list(data.sequences)) == len(list(data.labels)) == len(data)
+        assert pickle.dumps(data) == before
+
+    def test_sequence_protocol_matches_the_columns(self):
+        data = build_dataset(with_demographics=True)
+        seqs, labs, n = data.sequences, data.labels, len(data)
+        assert len(seqs) == len(labs) == n
+        last = seqs[-1]
+        assert last.record_id == data.record_ids[n - 1]
+        np.testing.assert_array_equal(last.observations, data.rows[data.offsets[n - 1]:])
+        np.testing.assert_array_equal(last.durations, data.gaps[data.offsets[n - 1]:])
+        np.testing.assert_array_equal(last.demographics, data.demographics[n - 1])
+        assert (labs[-1].event_time, labs[-1].censored) == (
+            data.event_times()[n - 1], data.censor_mask()[n - 1])
+        assert isinstance(seqs[1:4], list)
+        assert [s.record_id for s in seqs[1:4]] == list(data.record_ids[1:4])
+        assert [s.record_id for s in seqs[::-2]] == list(data.record_ids[::-2])
+        assert [lab.event_time for lab in labs[1:4]] == list(data.event_times()[1:4])
+        assert [s.record_id for s in seqs] == list(data.record_ids)
+        for view in (seqs, labs):
+            for i in (n, -n - 1):
+                with pytest.raises(IndexError):
+                    view[i]
+            with pytest.raises(TypeError):  # read-only
+                view[0] = view[1]
+        assert SurvivalDataset(seqs).labels is None
 
 
 class TestValidation:

@@ -104,6 +104,11 @@ class TestSegmentGrid:
         with pytest.raises(ConfigurationError):
             build_grid((1, -1), 3, n_dims=1)
 
+    def test_boundary_count_no_array_holds_is_refused(self):
+        # a one-segment grid has one cell whatever n_dims is, but 2 * n_dims boundaries
+        with pytest.raises(ConfigurationError, match="200000000000000000000 values"):
+            build_grid((-1, 1), 1, n_dims=10**20)
+
 
 class TestKernelBasisSet:
     def test_worked_example(self):

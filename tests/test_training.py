@@ -95,6 +95,19 @@ class TestStaticFeatures:
             feats, [2.0, 0.0] + [2.0] * 5 + [-1.0, 0.0] + [-1.0] * 5 + [0.5, 0.0] + [0.5] * 5
         )
 
+    def test_ragged_batch_matches_per_record_numpy(self):
+        rng = np.random.default_rng(3)
+        seqs = [ObservationSequence(rng.normal(size=(m, 2)), durations=rng.uniform(0.1, 2.0, m))
+                for m in rng.integers(1, 16, size=300)]
+        expected = []
+        for seq in seqs:
+            cols = np.column_stack([seq.observations, seq.gaps()])
+            expected.append(np.column_stack(
+                [np.mean(cols, axis=0), np.std(cols, axis=0),
+                 np.quantile(cols, STATIC_QUANTILES, axis=0).T]).ravel())
+        np.testing.assert_array_equal(static_features_batch(SurvivalDataset(seqs)),
+                                      np.array(expected))
+
 
 class TestStandardizer:
     def test_transform_centers_and_scales(self):
