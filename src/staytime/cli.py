@@ -56,8 +56,13 @@ def _emit_error(kind: str, message: str) -> None:
     sys.stderr.write(json.dumps({"error": kind, "message": message}) + "\n")
 
 
-def _emit(payload: dict) -> None:
-    sys.stdout.write(json_text(payload))
+def _emit(args, payload: dict) -> None:
+    """Print a command's summary: its name, --out's directory when it has
+    --out, and the payload."""
+    frame = {"command": args.command}
+    if hasattr(args, "out"):
+        frame["out"] = str(_out_dir(args))
+    sys.stdout.write(json_text({**frame, **payload}))
 
 
 class _Parser(argparse.ArgumentParser):
@@ -111,12 +116,6 @@ def _positive_int(text: str) -> int:
     return value
 
 
-def _add_jobs_flag(p: _Parser) -> None:
-    p.add_argument("--jobs", type=_positive_int,
-                   help="worker processes for the fits (default: the usable CPUs "
-                        "divided by the BLAS threads per process)")
-
-
 def _jobs(args) -> int:
     return args.jobs if args.jobs is not None else default_jobs()
 
@@ -148,12 +147,6 @@ def _add_config_flags(p: _Parser, config_cls, names=None) -> None:
             p.add_argument(flag, type=kinds[0])
 
 
-def _add_train_flags(p: _Parser) -> None:
-    _add_config_flags(p, TrainConfig)
-    p.add_argument("--auto-range", action="store_true", default=None,
-                   help="derive the grid range from the training data")
-
-
 def _train_config(args) -> TrainConfig:
     return _config(args, TrainConfig, {"model": "a model kind", "seed": "a seed"})
 
@@ -168,13 +161,7 @@ def cmd_generate(args) -> int:
     synth = generate(cfg)
     write_dataset(synth.dataset, out, units_note="synthetic, unitless")
     write_truth(synth, out)
-    _emit({
-        "command": "generate",
-        "out": str(out),
-        "n_records": cfg.n_records,
-        "n_states": cfg.n_states,
-        "seed": cfg.seed,
-    })
+    _emit(args, {"n_records": cfg.n_records, "n_states": cfg.n_states, "seed": cfg.seed})
     return 0
 
 
@@ -198,17 +185,8 @@ def cmd_featurize(args) -> int:
     tables = {"features.csv": _table("z", ids, featurizer.fit_transform(data))}
     if args.static:
         tables["static.csv"] = _table("s", ids, static_features_batch(data))
-    out = _out_dir(args)
-    out.mkdir(parents=True, exist_ok=True)
-    for name, text in tables.items():
-        atomic_write_text(out / name, text)
-    _emit({
-        "command": "featurize",
-        "out": str(out),
-        "files": list(tables),
-        "n_states": featurizer.n_states_,
-        "n_records": len(data),
-    })
+    files = _write_texts(_out_dir(args), tables)
+    _emit(args, {"files": files, "n_states": featurizer.n_states_, "n_records": len(data)})
     return 0
 
 
@@ -221,14 +199,8 @@ def cmd_train(args) -> int:
     save_checkpoint(model, out / "checkpoint.npz")
     write_history(model.history, out / "history.jsonl")
     atomic_write_text(out / "config.json", json_text(cfg.to_dict()))
-    _emit({
-        "command": "train",
-        "out": str(out),
-        "model": cfg.model,
-        "best_epoch": model.best_epoch,
-        "best_val_score": model.best_val_score,
-        "epochs_run": len(model.history),
-    })
+    _emit(args, {"model": cfg.model, "best_epoch": model.best_epoch,
+                 "best_val_score": model.best_val_score, "epochs_run": len(model.history)})
     return 0
 
 
@@ -236,37 +208,21 @@ def cmd_evaluate(args) -> int:
     cfg = _train_config(args)
     data = read_dataset(args.data, forward_fill=args.forward_fill)
     report = kfold_cv(data, cfg, k=args.k, seed=args.cv_seed, jobs=_jobs(args))
-    out = _out_dir(args)
-    out.mkdir(parents=True, exist_ok=True)
-    atomic_write_text(out / "scores.json", json_text(report.to_dict()))
-    _emit({
-        "command": "evaluate",
-        "out": str(out),
-        "model": cfg.model,
-        "k": args.k,
-        "mean_c_index": report.mean,
-        "stderr": report.stderr,
-    })
+    _write_texts(_out_dir(args), {"scores.json": json_text(report.to_dict())})
+    _emit(args, {"model": cfg.model, "k": args.k, "mean_c_index": report.mean,
+                 "stderr": report.stderr})
     return 0
 
 
 def _bench_rows(cfg: SynthConfig, overrides: dict):
     """The benchmark slate: discrete models at the true and off-by-one grid
     sizes, kernel and neural variants, and the static baseline."""
-    per_dim = cfg.segments_per_dim
-    base = dict(loss="squared", seed=overrides.get("seed", cfg.seed))
-    base.update(overrides)
-    return [
-        ("CTR-D-True", TrainConfig(model="ctr-d", segments=per_dim,
-                                   value_range=(-1.0, 1.0), **base)),
-        ("CTR-D-Minus", TrainConfig(model="ctr-d", segments=per_dim - 1,
-                                    value_range=(-1.0, 1.0), **base)),
-        ("CTR-D-Plus", TrainConfig(model="ctr-d", segments=per_dim + 1,
-                                   value_range=(-1.0, 1.0), **base)),
-        ("CTR-K", TrainConfig(model="ctr-k", **base)),
-        ("CTR-N", TrainConfig(model="ctr-n", **base)),
-        ("Static", TrainConfig(model="static", **base)),
-    ]
+    base = {"loss": "squared", "seed": cfg.seed, **overrides}
+    grids = [(label, TrainConfig(model="ctr-d", segments=cfg.segments_per_dim + step,
+                                 value_range=(-1.0, 1.0), **base))
+             for label, step in (("CTR-D-True", 0), ("CTR-D-Minus", -1), ("CTR-D-Plus", 1))]
+    return grids + [(label, TrainConfig(model=model, **base)) for label, model in (
+        ("CTR-K", "ctr-k"), ("CTR-N", "ctr-n"), ("Static", "static"))]
 
 
 def _period_thresholds(dataset) -> list:
@@ -320,16 +276,15 @@ def cmd_bench(args) -> int:
         "total_seconds": time.perf_counter() - t_start,
     }))
 
-    _emit({
-        "command": "bench",
-        "out": str(out),
-        "k": args.k,
-        "results": {r["label"]: {"mean": r["mean"], "stderr": r["stderr"]} for r in rows},
-    })
+    _emit(args, {"k": args.k, "results": {
+        r["label"]: {"mean": r["mean"], "stderr": r["stderr"]} for r in rows}})
     return 0
 
 
 def cmd_gradcheck(args) -> int:
+    if not 0 < args.tolerance < np.inf:
+        raise ConfigurationError(
+            f"tolerance must be a positive finite number, got {args.tolerance!r}")
     base = args.seed if args.seed is not None else 0
     results = []
     worst = 0.0
@@ -357,18 +312,22 @@ def cmd_gradcheck(args) -> int:
                 "worst_block": max(report, key=report.get),
             })
     passed = worst < args.tolerance
-    _emit({
-        "command": "gradcheck",
-        "tolerance": args.tolerance,
-        "max_rel_error": worst,
-        "passed": passed,
-        "checks": results,
-    })
+    _emit(args, {"tolerance": args.tolerance, "max_rel_error": worst, "passed": passed,
+                 "checks": results})
     if not passed:
         _emit_error("GradientCheckFailed",
                     f"max relative error {worst:.3e} exceeds {args.tolerance:.0e}")
         return 1
     return 0
+
+
+def _write_texts(out: Path, texts: dict) -> list:
+    """Write each rendered text into out under its name, atomically; returns
+    the names."""
+    out.mkdir(parents=True, exist_ok=True)
+    for name, text in texts.items():
+        atomic_write_text(out / name, text)
+    return list(texts)
 
 
 def _write_report(out: Path, bench: dict) -> list:
@@ -379,21 +338,17 @@ def _write_report(out: Path, bench: dict) -> list:
     if bench.get("period"):
         texts["period.csv"] = period_csv(bench["period"])
         texts["period.svg"] = render_period_chart(bench["period"])
-    out.mkdir(parents=True, exist_ok=True)
-    for name, text in texts.items():
-        atomic_write_text(out / name, text)
-    return list(texts)
+    return _write_texts(out, texts)
 
 
 def cmd_report(args) -> int:
-    out = _out_dir(args)
     try:
         bench = json.loads(Path(args.bench).read_text())  # ValueError if not JSON
-        written = _write_report(out, bench)
+        written = _write_report(_out_dir(args), bench)
     except (ValueError, KeyError, TypeError, ArithmeticError, ValidationError) as exc:
         raise ValidationError(
             f"{args.bench}: not a bench report ({type(exc).__name__}: {exc})") from None
-    _emit({"command": "report", "out": str(out), "files": written})
+    _emit(args, {"files": written})
     return 0
 
 
@@ -401,16 +356,28 @@ def build_parser() -> _Parser:
     parser = _Parser(prog="staytime",
                      description="Stay-time representations for survival regression")
     sub = parser.add_subparsers(dest="command", required=True)
+    # the option groups that several subcommands share, each declared once
+    out, config, data, folds, train = (_Parser(add_help=False) for _ in range(5))
+    out.add_argument("--out")
+    config.add_argument("--config")
+    data.add_argument("--data", required=True)
+    data.add_argument("--forward-fill", action="store_true")
+    folds.add_argument("--k", type=int, default=5)
+    folds.add_argument("--cv-seed", type=int, default=0)
+    folds.add_argument("--jobs", type=_positive_int,
+                       help="worker processes for the fits (default: the usable CPUs "
+                            "divided by the BLAS threads per process)")
+    _add_config_flags(train, TrainConfig)
+    train.add_argument("--auto-range", action="store_true", default=None,
+                       help="derive the grid range from the training data")
 
-    p = sub.add_parser("generate", parents=[], help="write a synthetic benchmark dataset")
-    p.add_argument("--config")
-    p.add_argument("--out")
+    p = sub.add_parser("generate", parents=[config, out],
+                       help="write a synthetic benchmark dataset")
     _add_config_flags(p, SynthConfig)
     p.set_defaults(func=cmd_generate)
 
-    p = sub.add_parser("featurize", help="write per-record stay-time features")
-    p.add_argument("--data", required=True)
-    p.add_argument("--out")
+    p = sub.add_parser("featurize", parents=[data, out],
+                       help="write per-record stay-time features")
     p.add_argument("--kind", choices=("grid", "kernel"), default="grid")
     _add_config_flags(p, TrainConfig, FEATURIZE_FIELDS)
     p.add_argument("--clamp", action="store_true")
@@ -419,36 +386,20 @@ def build_parser() -> _Parser:
     p.add_argument("--normalize", action="store_true")
     p.add_argument("--static", action="store_true",
                    help="also write the static feature table")
-    p.add_argument("--forward-fill", action="store_true", dest="forward_fill")
     p.set_defaults(func=cmd_featurize)
 
-    p = sub.add_parser("train", help="train one model and write a checkpoint")
-    p.add_argument("--data", required=True)
-    p.add_argument("--out")
-    p.add_argument("--config")
-    p.add_argument("--forward-fill", action="store_true", dest="forward_fill")
-    _add_train_flags(p)
+    p = sub.add_parser("train", parents=[data, out, config, train],
+                       help="train one model and write a checkpoint")
     p.set_defaults(func=cmd_train)
 
-    p = sub.add_parser("evaluate", help="k-fold cross-validated C-index")
-    p.add_argument("--data", required=True)
-    p.add_argument("--out")
-    p.add_argument("--config")
-    p.add_argument("--k", type=int, default=5)
-    p.add_argument("--cv-seed", type=int, default=0, dest="cv_seed")
-    p.add_argument("--forward-fill", action="store_true", dest="forward_fill")
-    _add_jobs_flag(p)
-    _add_train_flags(p)
+    p = sub.add_parser("evaluate", parents=[data, out, config, folds, train],
+                       help="k-fold cross-validated C-index")
     p.set_defaults(func=cmd_evaluate)
 
-    p = sub.add_parser("bench", help="run the synthetic comparison protocol")
-    p.add_argument("--config")
-    p.add_argument("--out")
-    p.add_argument("--k", type=int, default=5)
-    p.add_argument("--cv-seed", type=int, default=0, dest="cv_seed")
-    p.add_argument("--train-seed", type=int, dest="train_seed")
+    p = sub.add_parser("bench", parents=[config, out, folds],
+                       help="run the synthetic comparison protocol")
+    p.add_argument("--train-seed", type=int)
     _add_config_flags(p, TrainConfig, BENCH_TRAIN_FIELDS)
-    _add_jobs_flag(p)
     _add_config_flags(p, SynthConfig)
     p.set_defaults(func=cmd_bench)
 
@@ -456,13 +407,13 @@ def build_parser() -> _Parser:
     p.add_argument("--seed", type=int)
     p.add_argument("--seeds", type=_positive_int, default=3, help="number of seeds to run")
     p.add_argument("--tolerance", type=float, default=1e-3)
-    p.add_argument("--max-entries", type=_positive_int, default=60, dest="max_entries",
+    p.add_argument("--max-entries", type=_positive_int, default=60,
                    help="coordinates probed per parameter block")
     p.set_defaults(func=cmd_gradcheck)
 
-    p = sub.add_parser("report", help="render tables and charts from a bench report")
+    p = sub.add_parser("report", parents=[out],
+                       help="render tables and charts from a bench report")
     p.add_argument("--bench", required=True, help="path to bench_report.json")
-    p.add_argument("--out")
     p.set_defaults(func=cmd_report)
 
     return parser

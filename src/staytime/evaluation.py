@@ -17,9 +17,9 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .errors import UndefinedResultError, ValidationError, WorkerError
+from .errors import ConfigurationError, UndefinedResultError, ValidationError, WorkerError
 from .sequences import SurvivalDataset, as_float_array
-from .training import TrainConfig, require_count, shuffled_strata, train_model
+from .training import TrainConfig, _fits, require_count, shuffled_strata, train_model
 
 # Inputs up to this many records are counted directly on (uncensored x all)
 # comparison masks, which is faster there than the sort-based count.  The
@@ -189,6 +189,9 @@ def cross_validate(dataset: SurvivalDataset, configs: list, k: int = 5, seed: in
     candidate, so the FoldReports are the same for every jobs value (except
     wall_clock, each fold's summed job seconds).
     """
+    if not _fits(k, int):
+        raise ConfigurationError(f"k must be an integer, got {k!r}")
+    require_count("jobs", jobs, 1)
     require_count("fold seed", seed, 0)
     times = dataset.event_times()
     censored = dataset.censor_mask()
@@ -427,6 +430,8 @@ def period_stratified_improvement(report_a: FoldReport, report_b: FoldReport,
     where no fold has an admissible pair are omitted with a warning.
     """
     thresholds = [float(t) for t in thresholds]
+    if not all(map(np.isfinite, thresholds)):
+        raise ValidationError(f"thresholds must be finite, got {thresholds}")
     if any(b <= a for a, b in zip(thresholds, thresholds[1:])):
         raise ValidationError("thresholds must be strictly increasing")
     if [list(f) for f in report_a.test_indices] != [list(f) for f in report_b.test_indices]:

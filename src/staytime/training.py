@@ -163,6 +163,12 @@ def _is_pair(value) -> bool:
     return isinstance(value, (tuple, list)) and len(value) == 2 and all(map(_is_number, value))
 
 
+def _is_range(value) -> bool:
+    """Whether value is one (min, max) pair or one pair per dimension."""
+    return _is_pair(value) or (isinstance(value, (tuple, list)) and len(value) > 0
+                               and all(map(_is_pair, value)))
+
+
 @dataclass(frozen=True)
 class TrainConfig:
     """Everything that determines a training run, including the seed."""
@@ -227,8 +233,7 @@ class TrainConfig:
                     or (isinstance(value, tuple) and all(map(_is_count, value)))):
                 raise ConfigurationError(f"{name} must hold positive integers, got {value!r}")
         vr = self.value_range
-        if vr is not None and not (_is_pair(vr) or (isinstance(vr, tuple) and vr
-                                                    and all(map(_is_pair, vr)))):
+        if vr is not None and not _is_range(vr):
             raise ConfigurationError(
                 f"value_range must be one (min, max) pair or one per dimension, got {vr!r}")
         if not (self.gamma_grid and all(
@@ -272,16 +277,18 @@ class TrainConfig:
         return cls(**d)
 
 
-def _fits(value, kind) -> bool:
-    """Whether a JSON value has one of a config field's types: JSON arrays
-    stand for tuples, any integer is an int and any real number a float (so
-    numpy scalars count), a bool is not a number, and null is a value only
-    where the field admits None."""
-    if kind is tuple:
-        return isinstance(value, (list, tuple))
+def _fits(value, hint) -> bool:
+    """Whether a JSON value has one of the types of a config field's hint
+    (a type or a union of types): JSON arrays stand for tuples, any integer
+    is an int and any real number a float (so numpy scalars count), a bool
+    is not a number, and null is a value only where the field admits None."""
+    kinds = typing.get_args(hint) or (hint,)
     if isinstance(value, bool):
-        return kind is bool
-    return isinstance(value, {int: numbers.Integral, float: numbers.Real}.get(kind, kind))
+        return bool in kinds
+    if isinstance(value, (list, tuple)):
+        return tuple in kinds
+    return any(isinstance(value, {int: numbers.Integral, float: numbers.Real}.get(kind, kind))
+               for kind in kinds)
 
 
 def check_field_types(config) -> None:
@@ -291,7 +298,7 @@ def check_field_types(config) -> None:
     as JSON."""
     hints = typing.get_type_hints(type(config))
     for key, value in vars(config).items():
-        if not any(_fits(value, kind) for kind in typing.get_args(hints[key]) or (hints[key],)):
+        if not _fits(value, hints[key]):
             declared = config.__dataclass_fields__[key].type
             raise ConfigurationError(f"field {key!r} must be {declared}, got {value!r}")
         if isinstance(value, np.generic):

@@ -14,7 +14,7 @@ import pytest
 import staytime
 from staytime import ObservationSequence, SurvivalDataset, SurvivalLabel
 from staytime.checkpoint import load_checkpoint
-from staytime.cli import main
+from staytime.cli import build_parser, main
 from staytime.data_io import read_dataset, write_dataset
 from staytime.representation import compute_ctr
 from staytime.states import build_grid
@@ -302,7 +302,8 @@ class TestTrain:
 
 
 class TestNumbersChecked:
-    """A negative seed or a non-finite rate is one ConfigurationError line."""
+    """A negative seed, a non-finite rate or a tolerance that is not a
+    positive finite number is one ConfigurationError line."""
 
     @pytest.mark.parametrize("argv, name", [
         (("generate", "--seed", "-1"), "seed"),
@@ -325,10 +326,16 @@ class TestNumbersChecked:
         (("train", "--data", "{data}", *FAST_TRAIN, "--learning-rate", "nan"), "learning_rate"),
         (("train", "--data", "{data}", *FAST_TRAIN, "--learning-rate", "inf"), "learning_rate"),
         (("generate", "--seed", "0", "--noise-variance", "nan"), "noise_variance"),
-    ], ids=["lr-nan", "lr-inf", "noise-nan"])
+        (("gradcheck", "--seeds", "1", "--tolerance", "nan"), "tolerance"),
+        (("gradcheck", "--seeds", "1", "--tolerance", "inf"), "tolerance"),
+        (("gradcheck", "--seeds", "1", "--tolerance", "-1"), "tolerance"),
+    ], ids=["lr-nan", "lr-inf", "noise-nan", "tolerance-nan", "tolerance-inf",
+            "tolerance-negative"])
     def test_non_finite_number_rejected(self, tmp_path, capsys, data_dir, argv, name):
         argv = [a.format(data=data_dir) for a in argv]
-        code, stdout, stderr = run(capsys, *argv, "--out", str(tmp_path / "o"))
+        if argv[0] != "gradcheck":
+            argv += ["--out", str(tmp_path / "o")]
+        code, stdout, stderr = run(capsys, *argv)
         assert (code, stdout) == (1, "")
         err = one_error_line(stderr)
         assert err["error"] == "ConfigurationError"
@@ -379,6 +386,35 @@ class TestBenchAndReport:
         assert code == 0
         for name in ("comparison.csv", "comparison.svg", "period.csv", "period.svg"):
             assert (rep / name).read_bytes() == (bench_dir / name).read_bytes()
+
+
+class TestSummaryFrame:
+    """Every command's stdout summary names the command, and names the
+    output directory exactly when the command has --out."""
+
+    @pytest.mark.parametrize("argv", [
+        GEN,
+        ("featurize", "--data", "{data}"),
+        ("train", "--data", "{data}", *FAST_TRAIN),
+        ("evaluate", "--data", "{data}", "--k", "2", "--jobs", "1", *FAST_TRAIN),
+        ("bench", "--seed", "0", "--n-records", "30", "--k", "2", "--epochs", "1",
+         "--jobs", "1"),
+        ("gradcheck", "--seeds", "1", "--max-entries", "5"),
+        ("report", "--bench", "{bench}"),
+    ], ids=lambda argv: argv[0])
+    def test_command_and_out(self, tmp_path, capsys, data_dir, argv):
+        bench = tmp_path / "bench.json"
+        bench.write_text(json.dumps(MINIMAL_BENCH))
+        argv = [a.format(data=data_dir, bench=bench) for a in argv]
+        parser = build_parser()
+        commands = next(a for a in parser._actions if a.dest == "command").choices
+        has_out = "--out" in commands[argv[0]]._option_string_actions
+        out = tmp_path / "o"
+        code, stdout, _ = run(capsys, *argv, *(("--out", str(out)) if has_out else ()))
+        assert code == 0
+        summary = last_json(stdout)
+        frame = {"command": argv[0], **({"out": str(out)} if has_out else {})}
+        assert {key: summary[key] for key in ("command", "out") if key in summary} == frame
 
 
 def one_error_line(stderr: str) -> dict:

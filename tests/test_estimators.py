@@ -140,6 +140,15 @@ class TestFeaturizer:
         Z = feat.transform(synth)
         np.testing.assert_allclose(Z.sum(axis=1), np.ones(80), rtol=1e-12)
 
+    @pytest.mark.parametrize("name, value", [
+        ("segments", 2.5), ("segments", True), ("segments", [2, "a"]),
+        ("value_range", (1,)), ("clamp", 1), ("n_bases", 2.5), ("n_bases", True),
+        ("gamma", "1"), ("decay", True), ("normalize", "no"), ("random_state", 1.5),
+    ])
+    def test_mistyped_param_refused_at_fit(self, synth, name, value):
+        with pytest.raises(ConfigurationError, match=f"^CtrFeaturizer parameter '{name}' "):
+            CtrFeaturizer(**{name: value}).fit(synth)
+
     def test_unknown_kind_rejected(self, synth):
         with pytest.raises(ConfigurationError):
             CtrFeaturizer(kind="hex").fit(synth)

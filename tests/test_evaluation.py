@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 import staytime
-from staytime import DivergenceError, UndefinedResultError, ValidationError
+from staytime import ConfigurationError, DivergenceError, UndefinedResultError, ValidationError
 from staytime import evaluation
 from staytime.evaluation import (
     FitJob,
@@ -271,6 +271,23 @@ class TestKFoldCV:
         for idx, preds in zip(rep.test_indices, rep.predictions):
             assert len(idx) == len(preds)
 
+    @pytest.mark.parametrize("kwargs, message", [
+        ({"k": 2.5}, "k must be an integer"),
+        ({"k": True}, "k must be an integer"),
+        ({"jobs": 2.5}, "jobs must be an integer of at least 1"),
+        ({"jobs": True}, "jobs must be an integer of at least 1"),
+        ({"jobs": 0}, "jobs must be an integer of at least 1"),
+        ({"jobs": -3}, "jobs must be an integer of at least 1"),
+    ], ids=["k-float", "k-bool", "jobs-float", "jobs-bool", "jobs-zero", "jobs-negative"])
+    def test_bad_k_or_jobs_refused_before_any_fold(self, monkeypatch, kwargs, message):
+        def never(*args):
+            raise AssertionError("a fold was cut or a job run")
+
+        monkeypatch.setattr(evaluation, "fold_assignments", never)
+        monkeypatch.setattr(evaluation, "run_jobs", never)
+        with pytest.raises(ConfigurationError, match=f"^{message}, got "):
+            kfold_cv(toy_dataset(n=30), tiny_config("ctr-d", epochs=3), **kwargs)
+
     def test_report_roundtrips_through_dict(self):
         data = toy_dataset(n=30)
         rep = kfold_cv(data, tiny_config("ctr-d", epochs=3), k=3)
@@ -415,6 +432,14 @@ class TestPeriodBuckets:
         rep = kfold_cv(data, tiny_config("ctr-d", epochs=3), k=3)
         with pytest.raises(ValidationError):
             period_stratified_improvement(rep, rep, data, thresholds=(1.0, 1.0))
+
+    @pytest.mark.parametrize("thresholds", [(np.nan,), (0.0, np.nan), (0.0, np.inf)],
+                             ids=["nan", "nan-last", "inf-last"])
+    def test_non_finite_threshold_refused(self, thresholds):
+        data = toy_dataset(n=30)
+        rep = kfold_cv(data, tiny_config("ctr-d", epochs=3), k=3)
+        with pytest.raises(ValidationError, match="thresholds must be finite"):
+            period_stratified_improvement(rep, rep, data, thresholds=thresholds)
 
     def test_mismatched_fold_partitions_rejected(self):
         data = toy_dataset(n=40)
