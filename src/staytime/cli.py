@@ -33,7 +33,7 @@ from .data_io import (
     write_history,
     write_truth,
 )
-from .errors import ConfigurationError, StayTimeError, ValidationError
+from .errors import ConfigurationError, StayTimeError, ValidationError, require_positive
 from .evaluation import cross_validate, default_jobs, kfold_cv, period_stratified_improvement
 from .reports import comparison_csv, period_csv, render_bar_chart, render_period_chart
 from .estimators import CtrFeaturizer
@@ -282,9 +282,7 @@ def cmd_bench(args) -> int:
 
 
 def cmd_gradcheck(args) -> int:
-    if not 0 < args.tolerance < np.inf:
-        raise ConfigurationError(
-            f"tolerance must be a positive finite number, got {args.tolerance!r}")
+    require_positive("tolerance", args.tolerance)
     base = args.seed if args.seed is not None else 0
     results = []
     worst = 0.0

@@ -32,18 +32,24 @@ MANIFEST_FILE = "manifest.json"
 TRUTH_FILE = "truth.json"
 
 
-def atomic_write_text(path, text: str) -> None:
+def _atomic_write(path, write) -> None:
+    """write(tmp) beside path, then rename tmp to path; a failure removes tmp and re-raises."""
     path = Path(path)
     tmp = path.with_name(path.name + f".tmp{os.getpid()}")
-    tmp.write_text(text, encoding="utf-8")
-    os.replace(tmp, path)
+    try:
+        write(tmp)
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
+
+
+def atomic_write_text(path, text: str) -> None:
+    _atomic_write(path, lambda tmp: tmp.write_text(text, encoding="utf-8"))
 
 
 def atomic_write_bytes(path, data: bytes) -> None:
-    path = Path(path)
-    tmp = path.with_name(path.name + f".tmp{os.getpid()}")
-    tmp.write_bytes(data)
-    os.replace(tmp, path)
+    _atomic_write(path, lambda tmp: tmp.write_bytes(data))
 
 
 def json_text(obj) -> str:

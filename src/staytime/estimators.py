@@ -10,16 +10,16 @@ a labeled SurvivalDataset, or a list of ObservationSequence plus label arrays.
 from __future__ import annotations
 
 import dataclasses
-import typing
 
 import numpy as np
 
-from .errors import ConfigurationError, ValidationError
+from .errors import (ConfigurationError, ValidationError, require_bool, require_count,
+                     require_counts, require_decay, require_positive, require_range)
 from .evaluation import c_index
 from .representation import compute_ctr_batch
 from .sequences import SurvivalDataset, as_dataset, as_float_array
 from .states import KernelBasisSet, SegmentGrid
-from .training import TrainConfig, _fits, _is_range, require_count, train_model
+from .training import TrainConfig, train_model
 
 
 class ParamsMixin:
@@ -74,40 +74,22 @@ class CtrFeaturizer(ParamsMixin):
                     value_range=TRAIN_DEFAULTS["value_range"], clamp=False,
                     n_bases=TRAIN_DEFAULTS["n_bases"], gamma=TRAIN_DEFAULTS["gamma"],
                     decay=1.0, normalize=False, random_state=0)
-    # the TrainConfig field whose type each parameter must have; clamp, which
-    # has no field, must be a bool like normalize_ctr
-    TYPE_FIELDS = dict(segments="segments", value_range="value_range", clamp="normalize_ctr",
-                       n_bases="n_bases", gamma="gamma", decay="decay_init",
-                       normalize="normalize_ctr", random_state="seed")
-
-    def _check_types(self) -> None:
-        """Refuse a parameter of the wrong type, as one ConfigurationError
-        naming it, by the rule TrainConfig applies to its field: _fits over
-        the field's type, element by element for segments and value_range.
-        A value of the right type but out of bounds is left to fit's checks."""
-        hints = typing.get_type_hints(TrainConfig)
-        for name, field in self.TYPE_FIELDS.items():
-            value = getattr(self, name)
-            declared = TrainConfig.__dataclass_fields__[field].type
-            if name == "value_range":
-                fits = value is None or _is_range(value)
-                declared = "None, one (min, max) pair or one pair per dimension"
-            elif name == "segments" and _fits(value, tuple):
-                fits = all(_fits(v, int) for v in value)
-            else:
-                fits = _fits(value, hints[field])
-            if not fits:
-                raise ConfigurationError(
-                    f"{type(self).__name__} parameter {name!r} must be {declared}, "
-                    f"got {value!r}")
 
     def fit(self, X, y=None):
-        self._check_types()
+        """Learn the state function from the pooled rows of X, after checking
+        every parameter, whichever kind or step uses it."""
+        require_counts("segments", self.segments)
+        require_range("value_range", self.value_range, none_ok=True)
+        require_bool("clamp", self.clamp)
+        require_count("n_bases", self.n_bases)
+        require_positive("gamma", self.gamma)
+        require_decay("decay", self.decay)
+        require_bool("normalize", self.normalize)
+        require_count("random_state", self.random_state, 0)
         pooled = as_dataset(X).rows
         if self.kind == "grid":
             self.state_ = SegmentGrid.fit(pooled, self.segments, self.value_range, self.clamp)
         elif self.kind == "kernel":
-            require_count("random_state", self.random_state, 0)
             self.state_ = KernelBasisSet.fit(pooled, self.n_bases, self.gamma,
                                              np.random.default_rng(self.random_state))
         else:

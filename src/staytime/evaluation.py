@@ -17,9 +17,10 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .errors import ConfigurationError, UndefinedResultError, ValidationError, WorkerError
+from .errors import (ConfigurationError, UndefinedResultError, ValidationError, WorkerError,
+                     require_count)
 from .sequences import SurvivalDataset, as_float_array
-from .training import TrainConfig, _fits, require_count, shuffled_strata, train_model
+from .training import TrainConfig, _fits, shuffled_strata, train_model
 
 # Inputs up to this many records are counted directly on (uncensored x all)
 # comparison masks, which is faster there than the sort-based count.  The

@@ -18,7 +18,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ConfigurationError, ContractError, require_array_fits
+from .errors import (ConfigurationError, ContractError, require_array_fits, require_bool,
+                     require_counts, require_fraction, require_positive)
 
 BN_EPS = 1e-5  # added to the batch-norm variance
 BN_MOMENTUM = 0.1  # weight of each train batch in the running statistics
@@ -76,14 +77,14 @@ class Mlp:
 
     def __init__(self, layer_sizes, out_activation="identity", batchnorm=True,
                  dropout=0.0, rng=None):
+        if len(layer_sizes) < 2:
+            raise ConfigurationError(f"bad layer sizes {layer_sizes}: need at least 2")
+        require_counts("layer_sizes", layer_sizes)
         layer_sizes = [int(s) for s in layer_sizes]
-        if len(layer_sizes) < 2 or any(s < 1 for s in layer_sizes):
-            raise ConfigurationError(f"bad layer sizes {layer_sizes}: need an input and "
-                                     "an output width, each at least 1")
         if out_activation not in ("identity", "softmax"):
             raise ConfigurationError(f"unknown output activation {out_activation!r}")
-        if not 0.0 <= dropout < 1.0:
-            raise ConfigurationError(f"dropout rate must lie in [0, 1), got {dropout}")
+        require_bool("batchnorm", batchnorm)
+        require_fraction("dropout", dropout)
         if rng is None:
             rng = np.random.default_rng(0)
         elif isinstance(rng, (int, np.integer)):
@@ -289,10 +290,10 @@ class AdamState:
     scratch: np.ndarray | None = field(default=None, repr=False)
 
     def __post_init__(self):
-        if not (0 <= self.beta1 < 1 and 0 <= self.beta2 < 1):
-            raise ConfigurationError("Adam betas must lie in [0, 1)")
-        if self.lr <= 0 or self.eps <= 0:
-            raise ConfigurationError("Adam lr and eps must be positive")
+        for name in ("beta1", "beta2"):
+            require_fraction(name, getattr(self, name))
+        for name in ("lr", "eps"):
+            require_positive(name, getattr(self, name))
 
 
 def adam_step(params, grad, state: AdamState):

@@ -18,7 +18,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import ConfigurationError
+from .errors import require_bool, require_decay
 from .sequences import ObservationSequence, as_dataset, gather_rows
 from .states import StateFunction
 
@@ -43,13 +43,11 @@ class DecayParameter:
     """
 
     def __init__(self, value: float = 1.0, trainable: bool = False):
+        require_bool("trainable", trainable)
+        require_decay("decay", value, trainable)
         value = float(value)
-        if not np.isfinite(value) or not 0.0 < value <= 1.0:
-            raise ConfigurationError(f"decay value must lie in (0, 1], got {value}")
         self.trainable = bool(trainable)
         if self.trainable:
-            if value >= 1.0:
-                raise ConfigurationError("a trainable decay must start strictly below 1")
             # softplus(raw) = -ln(value)  =>  raw = ln(expm1(-ln(value)))
             self.raw = np.array([np.log(np.expm1(-np.log(value)))])
         else:

@@ -15,7 +15,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigurationError, OutOfRangeError, ValidationError, require_array_fits
+from .errors import (ConfigurationError, OutOfRangeError, ValidationError, require_array_fits,
+                     require_bool, require_count, require_counts, require_positive, require_range)
 from .sequences import as_float_array
 
 
@@ -53,6 +54,7 @@ class SegmentGrid(StateFunction):
                 raise ConfigurationError(f"dimension {d} needs at least 2 boundaries")
             if np.any(np.diff(b) <= 0):
                 raise ConfigurationError(f"dimension {d} boundaries must be strictly ascending")
+        require_bool("clamp", self.clamp)
         object.__setattr__(self, "boundaries", bounds)
         object.__setattr__(self, "clamp", bool(self.clamp))
 
@@ -127,6 +129,8 @@ def build_grid(value_range, segments, n_dims: int | None = None) -> SegmentGrid:
     such pairs; segments is an int applied to every dimension, or a list of
     ints.  n_dims resolves the dimension count when both arguments are scalar.
     """
+    require_range("value_range", value_range)
+    require_counts("segments", segments)
     if np.isscalar(value_range[0]):
         if n_dims is None:
             n_dims = len(segments) if not np.isscalar(segments) else 1
@@ -135,17 +139,12 @@ def build_grid(value_range, segments, n_dims: int | None = None) -> SegmentGrid:
     else:
         ranges = [tuple(r) for r in value_range]
         n_dims = len(ranges)
-    if np.isscalar(segments):
-        counts = [int(segments)] * n_dims
-    else:
-        counts = [int(s) for s in segments]
+    counts = [int(segments)] * n_dims if np.isscalar(segments) else [int(s) for s in segments]
     if len(counts) != len(ranges):
         raise ConfigurationError("ranges and segment counts disagree on dimension count")
     require_array_fits(f"the cell count of segments {counts}", math.prod(counts))
     bounds = []
     for (lo, hi), c in zip(ranges, counts):
-        if c < 1:
-            raise ConfigurationError("each dimension needs at least one segment")
         if not hi > lo:
             raise ConfigurationError(f"empty value range ({lo}, {hi})")
         bounds.append(np.linspace(lo, hi, c + 1))
@@ -164,11 +163,9 @@ class KernelBasisSet(StateFunction):
         bases = as_float_array(self.bases, "bases", 2)
         if bases.shape[0] < 1:
             raise ConfigurationError("at least one basis point is required")
-        gamma = float(self.gamma)
-        if not np.isfinite(gamma) or gamma <= 0:
-            raise ConfigurationError(f"gamma must be positive, got {self.gamma}")
+        require_positive("gamma", self.gamma)
         object.__setattr__(self, "bases", bases)
-        object.__setattr__(self, "gamma", gamma)
+        object.__setattr__(self, "gamma", float(self.gamma))
 
     @classmethod
     def fit(cls, rows, n_bases: int, gamma: float, rng):
@@ -201,18 +198,17 @@ class KernelBasisSet(StateFunction):
         return self.weights(X)  # a call, not an alias: weights may be swapped on the class
 
 
-def sample_bases(rows: np.ndarray, k: int, rng) -> np.ndarray:
-    """Draw k distinct basis points from pooled observation rows, seeded.
+def sample_bases(rows: np.ndarray, n_bases: int, rng) -> np.ndarray:
+    """Draw n_bases distinct basis points from pooled observation rows, seeded.
 
-    Returns the (k, D) array of points; wrap it in a KernelBasisSet with the
-    bandwidth of your choice.
+    Returns the (n_bases, D) array of points; wrap it in a KernelBasisSet
+    with the bandwidth of your choice.
     """
+    require_count("n_bases", n_bases)
     rows = as_float_array(rows, "pooled observations", 2)
-    if k < 1:
-        raise ConfigurationError("k must be at least 1")
-    if rows.shape[0] < k:
-        raise ValidationError(f"cannot draw {k} bases from {rows.shape[0]} pooled rows")
-    idx = rng.choice(rows.shape[0], size=k, replace=False)
+    if rows.shape[0] < n_bases:
+        raise ValidationError(f"cannot draw {n_bases} bases from {rows.shape[0]} pooled rows")
+    idx = rng.choice(rows.shape[0], size=n_bases, replace=False)
     return rows[idx].copy()
 
 

@@ -15,11 +15,11 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .errors import ConfigurationError, require_array_fits
+from .errors import ConfigurationError, require_array_fits, require_count, require_positive
 from .representation import compute_ctr_batch
 from .sequences import SurvivalDataset
 from .states import SegmentGrid, build_grid
-from .training import check_field_types, require_count
+from .training import check_field_types
 
 WEIGHT_PROFILES = ("coordinate", "index")
 BLOCK_RECORDS = 256
@@ -57,12 +57,8 @@ class SynthConfig:
         require_array_fits("n_records x n_obs x n_dims",
                            self.n_records * self.n_obs * self.n_dims)
         require_array_fits("n_states", self.n_states)
-        if not 0 <= self.noise_variance < np.inf:
-            raise ConfigurationError(
-                f"noise_variance must be a nonnegative finite number, got {self.noise_variance!r}")
-        if not 0 < self.weight_width < np.inf:
-            raise ConfigurationError(
-                f"weight_width must be a positive finite number, got {self.weight_width!r}")
+        require_positive("noise_variance", self.noise_variance, zero_ok=True)
+        require_positive("weight_width", self.weight_width)
         if self.weight_profile not in WEIGHT_PROFILES:
             raise ConfigurationError(f"unknown weight_profile {self.weight_profile!r}")
         integer_root(self.n_states, self.n_dims)

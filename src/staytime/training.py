@@ -16,11 +16,9 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .errors import (
-    ConfigurationError,
-    DivergenceError,
-    ValidationError,
-)
+from .errors import (ConfigurationError, DivergenceError, ValidationError, require_count,
+                     require_counts, require_decay, require_fraction, require_positive,
+                     require_range)
 from .nn import AdamState, Mlp, Workspace, adam_step, grad_check, log_sigmoid
 from .representation import DecayParameter, PackedRecords, segment_ctr, sigmoid, stay_time_matrix
 from .sequences import SurvivalDataset, as_dataset
@@ -144,31 +142,6 @@ class Standardizer:
         return (np.asarray(rows, dtype=float) - self.mean) / self.scale
 
 
-def _is_number(value) -> bool:
-    return isinstance(value, numbers.Real) and not isinstance(value, bool)
-
-
-def _is_count(value, low: int = 1) -> bool:
-    return isinstance(value, numbers.Integral) and not isinstance(value, bool) and value >= low
-
-
-def require_count(name: str, value, low: int = 1) -> None:
-    """Refuse value, a seed or a count, unless it is an integer of at least low."""
-    if not _is_count(value, low):
-        raise ConfigurationError(f"{name} must be an integer of at least {low}, got {value!r}")
-
-
-def _is_pair(value) -> bool:
-    """Whether value is a (min, max) pair of numbers, as a tuple or a JSON list."""
-    return isinstance(value, (tuple, list)) and len(value) == 2 and all(map(_is_number, value))
-
-
-def _is_range(value) -> bool:
-    """Whether value is one (min, max) pair or one pair per dimension."""
-    return _is_pair(value) or (isinstance(value, (tuple, list)) and len(value) > 0
-                               and all(map(_is_pair, value)))
-
-
 @dataclass(frozen=True)
 class TrainConfig:
     """Everything that determines a training run, including the seed."""
@@ -212,34 +185,21 @@ class TrainConfig:
             raise ConfigurationError("the combined loss needs batches of at least 2")
         if not 0.0 < self.val_fraction < 1.0:
             raise ConfigurationError("val_fraction must lie strictly between 0 and 1")
-        if not 0.0 < self.decay_init <= 1.0:
-            raise ConfigurationError("decay_init must lie in (0, 1]")
-        if self.decay_trainable and self.decay_init >= 1.0:
-            raise ConfigurationError("a trainable decay must start strictly below 1")
+        require_decay("decay_init", self.decay_init, self.decay_trainable)
         for name in ("dropout", "beta1", "beta2"):
-            value = getattr(self, name)
-            if not 0 <= value < 1:
-                raise ConfigurationError(f"{name} must lie in [0, 1), got {value!r}")
+            require_fraction(name, getattr(self, name))
         for name in ("gamma", "learning_rate", "adam_eps"):
-            value = getattr(self, name)
-            if not 0 < value < np.inf:
-                raise ConfigurationError(f"{name} must be a positive finite number, got {value!r}")
+            require_positive(name, getattr(self, name))
         for name in ("gamma_grid", "f_hidden", "g_hidden", "segments", "value_range"):
             if isinstance(getattr(self, name), list):
                 object.__setattr__(self, name, tuple(getattr(self, name)))
         for name in ("f_hidden", "g_hidden", "segments"):
-            value = getattr(self, name)
-            if not ((name == "segments" and _is_count(value))
-                    or (isinstance(value, tuple) and all(map(_is_count, value)))):
-                raise ConfigurationError(f"{name} must hold positive integers, got {value!r}")
-        vr = self.value_range
-        if vr is not None and not _is_range(vr):
-            raise ConfigurationError(
-                f"value_range must be one (min, max) pair or one per dimension, got {vr!r}")
-        if not (self.gamma_grid and all(
-                _is_number(g) and 0 < g < np.inf for g in self.gamma_grid)):
-            raise ConfigurationError(
-                f"gamma_grid must hold positive finite numbers, got {self.gamma_grid!r}")
+            require_counts(name, getattr(self, name))
+        require_range("value_range", self.value_range, none_ok=True)
+        if not self.gamma_grid:
+            raise ConfigurationError("gamma_grid must hold at least one value, got ()")
+        for i, g in enumerate(self.gamma_grid):
+            require_positive(f"gamma_grid[{i}]", g)
 
     @property
     def wants_standardize(self) -> bool:
@@ -419,6 +379,9 @@ class _Components:
 
         self.train_idx, self.val_idx = train_idx, val_idx = split_validation(
             len(dataset), censored, config.val_fraction, rng_split)
+        if not has_admissible_pair(times[val_idx], censored[val_idx]):
+            raise ValidationError(f"validation split has no admissible pair for a C-index: "
+                                  f"{len(train_idx)} train / {len(val_idx)} val")
         # the model trained in place; train_model adds what its epochs found
         model = self.model = TrainedModel(config)
         base, dem = model._inputs(dataset)  # raw: no standardizer is fitted yet

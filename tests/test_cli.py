@@ -342,6 +342,20 @@ class TestNumbersChecked:
         assert err["message"].startswith(f"{name} must be a ")
         assert not (tmp_path / "o").exists()
 
+    @pytest.mark.parametrize("flag, field, value, message", [
+        ("--n-bases", "n_bases", 0, "n_bases must be an integer of at least 1, got 0"),
+        ("--gamma", "gamma", float("nan"), "gamma must be a positive finite number, got nan"),
+    ], ids=["n-bases-zero", "gamma-nan"])
+    def test_featurizer_words_a_number_as_train_config_does(self, tmp_path, capsys, data_dir,
+                                                           flag, field, value, message):
+        code, stdout, stderr = run(capsys, "featurize", "--data", str(data_dir), "--kind",
+                                   "kernel", flag, str(value), "--out", str(tmp_path / "o"))
+        assert (code, stdout) == (1, "")
+        assert one_error_line(stderr) == {"error": "ConfigurationError", "message": message}
+        with pytest.raises(staytime.ConfigurationError) as caught:
+            TrainConfig(model="ctr-k", **{field: value})
+        assert str(caught.value) == message
+
 
 class TestEvaluate:
     def test_scores_file(self, tmp_path, capsys, data_dir):

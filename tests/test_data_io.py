@@ -4,12 +4,15 @@ import gc
 import pickle
 import tracemalloc
 import weakref
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from staytime import ObservationSequence, SurvivalDataset, SurvivalLabel, ValidationError
 from staytime.data_io import (
+    atomic_write_bytes,
+    atomic_write_text,
     read_dataset,
     read_history,
     read_truth,
@@ -383,3 +386,18 @@ class TestHistory:
         path = tmp_path / "history.jsonl"
         write_history([], path)
         assert read_history(path) == []
+
+
+class TestAtomicWrite:
+    @pytest.mark.parametrize("write, payload, make_target", [
+        (atomic_write_text, "a,b\n", Path.mkdir),
+        (atomic_write_bytes, b"\x00\x01", Path.mkdir),
+        (atomic_write_text, "\ud800", Path.touch),
+    ], ids=["text-onto-directory", "bytes-onto-directory", "text-not-encodable"])
+    def test_failure_leaves_no_temporary_file(self, tmp_path, write, payload, make_target):
+        # a failed rename, or a write that fails after the temporary file is open
+        target = tmp_path / "features.csv"
+        make_target(target)
+        with pytest.raises((OSError, UnicodeEncodeError)):
+            write(target, payload)
+        assert [p.name for p in tmp_path.iterdir()] == ["features.csv"]

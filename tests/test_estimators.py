@@ -146,7 +146,7 @@ class TestFeaturizer:
         ("gamma", "1"), ("decay", True), ("normalize", "no"), ("random_state", 1.5),
     ])
     def test_mistyped_param_refused_at_fit(self, synth, name, value):
-        with pytest.raises(ConfigurationError, match=f"^CtrFeaturizer parameter '{name}' "):
+        with pytest.raises(ConfigurationError, match=f"^{name} "):
             CtrFeaturizer(**{name: value}).fit(synth)
 
     def test_unknown_kind_rejected(self, synth):

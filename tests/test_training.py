@@ -279,6 +279,16 @@ class TestSplitValidation:
         with pytest.raises(ValidationError):
             split_validation(3, np.zeros(3, bool), 0.01, rng)
 
+    def test_split_without_admissible_pair_refused_before_first_epoch(self, monkeypatch):
+        def never(*args):
+            raise AssertionError("a training batch ran")
+
+        monkeypatch.setattr(_Components, "batch_loss_and_grads", never)
+        data = generate(SynthConfig(seed=0, n_records=60)).dataset
+        with pytest.raises(ValidationError, match=r"^validation split has no admissible "
+                                                  r"pair for a C-index: 59 train / 1 val$"):
+            train_model(data, TrainConfig(model="ctr-d", seed=0, epochs=1, val_fraction=0.01))
+
 
 def tiny_config(model, **kw):
     base = dict(
